@@ -44,10 +44,10 @@ inline void emit_json_line(const std::string& name, const std::string& placer,
 }
 
 /// The annealing-engine counterpart: one line per (engine, beta) cell of
-/// bench_perf_sa's engine comparison. `identical_best` records whether
-/// the engine reproduced the reference (copy-engine) placement anchor
-/// for anchor — the delta engine's contract (the fused engine is
-/// versioned off that stream and reports false by design). The stats
+/// bench_perf_sa's engine comparison ("delta" = production, "copy" = the
+/// test oracle). `identical_best` records whether the delta engine
+/// reproduced the copy oracle's placement anchor for anchor — its
+/// contract. The stats
 /// fields attribute where proposal time goes: acceptance counts plus
 /// per-move-kind proposal/acceptance tallies.
 inline void emit_engine_json_line(const std::string& name,
@@ -90,30 +90,23 @@ inline void emit_scaling_json_line(int modules, double beta,
             << "}\n";
 }
 
-/// The portfolio-race counterpart: one line per (backend, replica count)
-/// cell of bench_perf_sa's wall-clock-to-target race. `target_cost` is
-/// the serial kFused run's best cost; `seconds_to_target` is the time at
-/// which this row first reached it (for the portfolio rows: CRITICAL-PATH
-/// time — the sum over exchange intervals of the slowest replica's
-/// segment plus the serial exchange passes, i.e. the elapsed wall of the
-/// same run on >= N free hardware threads); `reached` records whether it
-/// ever did; `speedup` is the serial baseline's seconds-to-target over
-/// this row's (1 on the baseline's own row, 0 when not reached).
-inline void emit_portfolio_json_line(int modules, const std::string& backend,
-                                     const std::string& engine, int replicas,
+/// The portfolio-race counterpart: one line per replica count of
+/// bench_perf_sa's wall-clock-to-target race. `target_cost` is the
+/// N = 1 portfolio run's best cost; `seconds_to_target` is the
+/// CRITICAL-PATH time at which this row first reached it — the sum over
+/// exchange intervals of the slowest replica's segment plus the serial
+/// exchange passes, i.e. the elapsed wall of the same run on >= N free
+/// hardware threads; `reached` records whether it ever did; `speedup` is
+/// the N = 1 baseline's seconds-to-target over this row's (1 on the
+/// baseline's own row, 0 when not reached).
+inline void emit_portfolio_json_line(int modules, int replicas,
                                      double target_cost, double best_cost,
                                      bool reached, double seconds_to_target,
                                      double wall_seconds, double speedup,
                                      const AnnealingStats& stats,
                                      std::uint64_t seed = kBenchSeed) {
-  const double hit_rate =
-      stats.speculated > 0
-          ? static_cast<double>(stats.speculation_hits) /
-                static_cast<double>(stats.speculated)
-          : 0.0;
   std::cout << "{\"bench\":\"perf_sa_portfolio\",\"modules\":" << modules
-            << ",\"backend\":\"" << backend << "\",\"engine\":\"" << engine
-            << "\",\"replicas\":" << replicas << ",\"target_cost\":"
+            << ",\"replicas\":" << replicas << ",\"target_cost\":"
             << target_cost << ",\"best_cost\":" << best_cost
             << ",\"reached\":" << (reached ? "true" : "false")
             << ",\"seconds_to_target\":" << seconds_to_target
@@ -121,8 +114,7 @@ inline void emit_portfolio_json_line(int modules, const std::string& backend,
             << speedup << ",\"proposals_per_second\":"
             << stats.proposals_per_second << ",\"exchanges_attempted\":"
             << stats.exchanges_attempted << ",\"exchanges_accepted\":"
-            << stats.exchanges_accepted << ",\"speculation_hit_rate\":"
-            << hit_rate << ",\"seed\":" << seed << "}\n";
+            << stats.exchanges_accepted << ",\"seed\":" << seed << "}\n";
 }
 
 /// The routing counterpart: one line per router backend, with the route
@@ -148,7 +140,7 @@ inline void emit_router_json_line(const std::string& name,
 /// The simulator-engine counterpart: one line per (scenario, engine)
 /// cell of bench_perf_sim. A "step" is one droplet move (route cell), so
 /// `steps_per_second` is the simulator's droplet-step throughput;
-/// `speedup` is this engine's throughput over the reference engine on
+/// `speedup` is this engine's throughput over the reference oracle on
 /// the same scenario (1 on the reference's own rows), and `identical`
 /// records the full-SimulationResult bit-identity audit.
 inline void emit_sim_json_line(const std::string& scenario,

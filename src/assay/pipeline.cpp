@@ -192,8 +192,7 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
         detail << ", FTI " << r.fti.fti();
       }
       // Portfolio backends report per-replica loop telemetry: throughput
-      // spread across replicas, exchange traffic and the speculation
-      // hit-rate (kBatched replicas only).
+      // spread across replicas and exchange traffic.
       if (!r.placement.replica_stats.empty()) {
         CostStatistic throughput;
         for (const AnnealingStats& rs : r.placement.replica_stats) {
@@ -205,10 +204,6 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
                << agg.exchanges_attempted
                << " proposals/s min/avg/max=" << throughput.minimum() << "/"
                << throughput.average() << "/" << throughput.max;
-        if (agg.speculated > 0) {
-          detail << " spec-hit=" << static_cast<double>(agg.speculation_hits) /
-                                        static_cast<double>(agg.speculated);
-        }
       }
       record(PipelineStage::kPlace, seconds_since(start), detail.str());
     }
@@ -373,35 +368,23 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
     const auto start = Clock::now();
     const Chip chip(chip_width, chip_height);
     std::ostringstream detail;
-    if (options_.simulation.engine == SimEngineKind::kEvent) {
-      EventSimEngine engine(options_.simulation);
-      SimEngineRun run =
-          engine.run(graph, result.schedule, result.placement.placement, chip);
-      result.simulation = std::move(run.result);
-      if (result.simulation.success) {
-        detail << "completed in " << result.simulation.makespan_s << " s, "
-               << result.simulation.routes_planned << " routes";
-      } else {
-        detail << "simulation failed: " << result.simulation.failure_reason;
-        if (run.stall.stalled) detail << " [" << run.stall.chain << "]";
-      }
-      const SimEngineTelemetry& t = run.telemetry;
-      detail << "; events=" << t.events_dispatched
-             << " route-avg=" << t.route_cost.average() * 1e6 << "us"
-             << " route-max=" << t.route_cost.max * 1e6 << "us"
-             << " fast-paths=" << t.manhattan_fast_paths
-             << " grid-reuses=" << t.blocked_grid_reuses;
+    EventSimEngine engine(options_.simulation);
+    SimEngineRun run =
+        engine.run(graph, result.schedule, result.placement.placement, chip);
+    result.simulation = std::move(run.result);
+    if (result.simulation.success) {
+      detail << "completed in " << result.simulation.makespan_s << " s, "
+             << result.simulation.routes_planned << " routes";
     } else {
-      const Simulator simulator(options_.simulation);
-      result.simulation = simulator.run(graph, result.schedule,
-                                        result.placement.placement, chip);
-      if (result.simulation.success) {
-        detail << "completed in " << result.simulation.makespan_s << " s, "
-               << result.simulation.routes_planned << " routes";
-      } else {
-        detail << "simulation failed: " << result.simulation.failure_reason;
-      }
+      detail << "simulation failed: " << result.simulation.failure_reason;
+      if (run.stall.stalled) detail << " [" << run.stall.chain << "]";
     }
+    const SimEngineTelemetry& t = run.telemetry;
+    detail << "; events=" << t.events_dispatched
+           << " route-avg=" << t.route_cost.average() * 1e6 << "us"
+           << " route-max=" << t.route_cost.max * 1e6 << "us"
+           << " fast-paths=" << t.manhattan_fast_paths
+           << " grid-reuses=" << t.blocked_grid_reuses;
     record(PipelineStage::kSimulate, seconds_since(start), detail.str());
   }
 

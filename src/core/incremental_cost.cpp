@@ -332,7 +332,6 @@ double IncrementalPlacementState::propose_known(const PlacementMove& move,
     pending.cand_outside_count = outside_count_;
     pending.cand_bbox = bbox_;
     pending.cand_value = value_;
-    pending.scanned_bbox = false;
     return 0.0;
   }
 
@@ -470,7 +469,6 @@ double IncrementalPlacementState::propose_known(const PlacementMove& move,
   pending.cand_pressure_total = cand_pressure;
   pending.cand_outside_count = cand_outside;
   pending.cand_bbox = cand_bbox;
-  pending.scanned_bbox = !bbox_survives && count > 0;
   pending.cand_value =
       value_of(cand_bbox.area(), cand_overlap, cand_defect, 0.0,
                cand_pressure);
@@ -591,31 +589,8 @@ double IncrementalPlacementState::propose_eager(const PlacementMove& move) {
 double IncrementalPlacementState::commit() {
   Pending& pending = pending_;
   assert(pending.active);
-  if (pending_virtual_) {
-    // A still-valid speculative serve: nothing is staged yet, so
-    // materialize by re-running the full pricing (advances no rng draws;
-    // the delta is the served one by speculation_valid's contract), then
-    // commit normally. Acceptances are the rare branch, so the extra
-    // pricing stays off the hot path.
-    pending_virtual_ = false;
-    pending.active = false;
-    const PlacementMove move = pending.move;
-    propose(move);
-  }
   pending.active = false;
   if (pending.eager) return value_;
-
-  // Speculation epochs (engaged by the first speculate_batch call):
-  // high-water-mark what this acceptance touches, so later activate()
-  // calls can tell stale prices from live ones.
-  if (!module_epoch_.empty() && pending.move.count > 0) {
-    ++commit_epoch_;
-    for (int c = 0; c < pending.move.count; ++c) {
-      module_epoch_[static_cast<std::size_t>(pending.move.changes[c].index)] =
-          commit_epoch_;
-    }
-    if (!(pending.cand_bbox == bbox_)) bbox_epoch_ = commit_epoch_;
-  }
 
   // Lazy path: apply the staged move and candidate tallies (footprints_
   // was already updated by propose()).
@@ -645,11 +620,6 @@ void IncrementalPlacementState::revert() {
   Pending& pending = pending_;
   assert(pending.active);
   pending.active = false;
-  if (pending_virtual_) {
-    // Speculative serve: nothing was mutated or staged.
-    pending_virtual_ = false;
-    return;
-  }
   if (!pending.eager) {
     // Lazy proposals staged everything except the footprint cache.
     // Reverse order, like the eager undo: were a move ever to touch one
@@ -687,99 +657,6 @@ void IncrementalPlacementState::revert() {
     covered_cells_ = pending.old_covered;
   }
   value_ = pending.old_value;
-}
-
-int IncrementalPlacementState::speculate_batch(int window_span,
-                                               const MoveOptions& options,
-                                               Rng& rng, int count) {
-  assert(!pending_.active);
-  if (module_epoch_.empty() && placement_.module_count() > 0) {
-    module_epoch_.assign(static_cast<std::size_t>(placement_.module_count()),
-                         0);
-  }
-  batch_.clear();
-  batch_deps_.clear();
-  batch_epoch_ = commit_epoch_;
-  // Eager (beta != 0) pricing mutates the state, so looking ahead would
-  // change what later entries are priced against; the batch then only
-  // pre-draws the moves and activate() prices each fresh.
-  const bool lazy = weights_.beta == 0.0;
-  for (int n = 0; n < count; ++n) {
-    BatchEntry entry;
-    entry.move =
-        generate_random_move_with_span(placement_, window_span, options, rng);
-    bool noop = true;
-    for (int c = 0; c < entry.move.count && noop; ++c) {
-      const PlacedModule& m = placement_.modules()[static_cast<std::size_t>(
-          entry.move.changes[c].index)];
-      noop = m.anchor == entry.move.changes[c].anchor &&
-             m.rotated == entry.move.changes[c].rotated;
-    }
-    entry.noop = noop;
-    if (lazy) {
-      entry.delta = propose_known(entry.move, noop);
-      entry.priced = true;
-      entry.scanned_bbox = pending_.scanned_bbox;
-      entry.dep_begin = static_cast<int>(batch_deps_.size());
-      for (int c = 0; c < entry.move.count; ++c) {
-        const int idx = entry.move.changes[c].index;
-        batch_deps_.push_back(idx);
-        // A noop's price (0) stays valid as long as the move still lands
-        // where its modules stand — only the modules themselves matter.
-        if (noop) continue;
-        const std::size_t m = static_cast<std::size_t>(idx);
-        for (int a = pair_offsets_[m]; a < pair_offsets_[m + 1]; ++a) {
-          const PairEntry& pe = pair_entries_[static_cast<std::size_t>(
-              pair_adjacency_[static_cast<std::size_t>(a)])];
-          batch_deps_.push_back(pe.i == idx ? pe.j : pe.i);
-        }
-        if (!link_entries_.empty()) {
-          for (int a = link_offsets_[m]; a < link_offsets_[m + 1]; ++a) {
-            const RouteLink& link =
-                link_entries_[static_cast<std::size_t>(link_adjacency_[
-                    static_cast<std::size_t>(a)])].link;
-            batch_deps_.push_back(link.target_module);
-            if (link.source_module >= 0) {
-              batch_deps_.push_back(link.source_module);
-            }
-          }
-        }
-      }
-      entry.dep_end = static_cast<int>(batch_deps_.size());
-      revert();
-      ++spec_priced_;
-    }
-    batch_.push_back(entry);
-  }
-  return count;
-}
-
-bool IncrementalPlacementState::speculation_valid(
-    const BatchEntry& entry) const {
-  if (commit_epoch_ == batch_epoch_) return true;  // nothing accepted since
-  if (entry.scanned_bbox) return false;  // the price read every footprint
-  if (!entry.noop && bbox_epoch_ > batch_epoch_) return false;
-  for (int a = entry.dep_begin; a < entry.dep_end; ++a) {
-    const std::size_t m =
-        static_cast<std::size_t>(batch_deps_[static_cast<std::size_t>(a)]);
-    if (module_epoch_[m] > batch_epoch_) return false;
-  }
-  return true;
-}
-
-double IncrementalPlacementState::activate(int b) {
-  assert(!pending_.active);
-  assert(b >= 0 && static_cast<std::size_t>(b) < batch_.size());
-  const BatchEntry& entry = batch_[static_cast<std::size_t>(b)];
-  if (entry.priced && speculation_valid(entry)) {
-    ++spec_hits_;
-    pending_.active = true;
-    pending_.eager = false;
-    pending_.move = entry.move;  // last_move_kind() + materialization
-    pending_virtual_ = true;
-    return entry.delta;
-  }
-  return propose(entry.move);
 }
 
 }  // namespace dmfb

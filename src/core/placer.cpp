@@ -194,8 +194,6 @@ SaPlacerOptions sa_options_from(const PlacerContext& context) {
   options.defects = context.defects;
   options.route_links = context.route_links;
   options.seed = context.seed;
-  options.engine = context.engine;
-  options.speculation_lookahead = context.speculation_lookahead;
   options.initial = context.initial_placement;
   return options;
 }

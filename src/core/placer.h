@@ -83,19 +83,10 @@ struct PlacerContext {
   MoveOptions moves;
   CostWeights weights;  ///< beta = 0 keeps the objective area-only
   FtiOptions fti_options;
-  /// Proposal-evaluation engine (both annealing stages); kDelta and kCopy
-  /// give identical results (kDelta the fast path), kFused trades the
-  /// legacy random stream for the fastest proposal loop, kBatched adds
-  /// speculative batched pricing on top of kFused.
-  AnnealingEngine engine = AnnealingEngine::kDelta;
-  /// kBatched only: moves drawn and priced ahead per batch (see
-  /// SaPlacerOptions::speculation_lookahead).
-  int speculation_lookahead = 8;
 
   // "portfolio": replica count / exchange period / temperature ladder /
   // worker threads / early-stop target (core/portfolio_placer.h). The
-  // replicas anneal with the fields above ("sa" options); kCopy is
-  // rejected as the replica engine, kDelta runs the fused proposal path.
+  // replicas anneal with the fields above ("sa" options).
   PortfolioOptions portfolio;
 
   // "two-stage" refinement (§6.2).

@@ -40,8 +40,6 @@ struct Replica {
   double temperature = 0.0;
   const MoveOptions* moves = nullptr;
   int inner_iterations = 0;
-  bool batched = false;
-  int lookahead = 1;
   std::vector<double> draws;
 
   AnnealingStats stats;
@@ -91,7 +89,7 @@ struct Replica {
     ++proposals_by_kind[kind];
     bool accept = delta < 0.0;
     if (!accept && temperature > 0.0) {
-      // Same exp-skips as anneal_fused: a zero delta always accepts, and
+      // Same exp-skips as anneal_delta: a zero delta always accepts, and
       // below -746 exp() is exactly 0.
       if (delta == 0.0) {
         accept = true;
@@ -116,11 +114,13 @@ struct Replica {
     }
   }
 
-  /// Runs `steps` temperature steps of this chain's schedule — exactly
-  /// anneal_fused's (or anneal_batched's) loop body, segmented so the
-  /// exchange barriers can interleave. Driven by step COUNT, not the
-  /// min-temperature test: every slot then runs the same number of steps
-  /// regardless of ladder position, keeping the barriers aligned.
+  /// Runs `steps` temperature steps of this chain's schedule, segmented
+  /// so the exchange barriers can interleave. Each step pre-draws its
+  /// Metropolis variates from the slot's own stream (one per proposal,
+  /// downhill ones included) and fuses move generation into the pricing
+  /// (propose_random). Driven by step COUNT, not the min-temperature
+  /// test: every slot then runs the same number of steps regardless of
+  /// ladder position, keeping the barriers aligned.
   void run_segment(int steps) {
     const auto t0 = Clock::now();
     for (int s = 0; s < steps; ++s) {
@@ -130,23 +130,9 @@ struct Replica {
       const int span =
           controlling_window_span(state->placement(), fraction, *moves);
       for (double& draw : draws) draw = metropolis_rng.next_double();
-      if (batched) {
-        int i = 0;
-        while (i < inner_iterations) {
-          const int filled = state->speculate_batch(
-              span, *moves, move_rng,
-              std::min(lookahead, inner_iterations - i));
-          if (filled <= 0) break;
-          for (int b = 0; b < filled; ++b, ++i) {
-            decide(state->activate(b), draws[static_cast<std::size_t>(i)],
-                   t0);
-          }
-        }
-      } else {
-        for (int i = 0; i < inner_iterations; ++i) {
-          decide(state->propose_random(span, *moves, move_rng),
-                 draws[static_cast<std::size_t>(i)], t0);
-        }
+      for (int i = 0; i < inner_iterations; ++i) {
+        decide(state->propose_random(span, *moves, move_rng),
+               draws[static_cast<std::size_t>(i)], t0);
       }
       temperature *= schedule.cooling_rate;
       ++stats.temperature_steps;
@@ -158,26 +144,25 @@ struct Replica {
 
 }  // namespace
 
+int resolved_replicas(const PortfolioOptions& portfolio) {
+  return portfolio.replicas > 0
+             ? portfolio.replicas
+             : static_cast<int>(
+                   std::max(1u, std::thread::hardware_concurrency()));
+}
+
 PlacementOutcome anneal_portfolio(const Placement& initial,
                                   const SaPlacerOptions& options,
                                   const PortfolioOptions& portfolio,
                                   const Placement* replica0_initial) {
   const auto start_time = Clock::now();
 
-  if (options.engine == AnnealingEngine::kCopy) {
-    throw std::invalid_argument(
-        "portfolio placer requires an incremental engine (delta, fused or "
-        "batched), not copy");
-  }
+  validate_schedule(options.schedule);
   if (!(portfolio.ladder_ratio > 0.0)) {
     throw std::invalid_argument(
         "portfolio placer: ladder_ratio must be positive");
   }
-  const int replica_count =
-      portfolio.replicas > 0
-          ? portfolio.replicas
-          : static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency()));
+  const int replica_count = resolved_replicas(portfolio);
   const int exchange_period = std::max(1, portfolio.exchange_period);
 
   CostEvaluator evaluator(options.weights, options.fti_options);
@@ -197,7 +182,6 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
   const int inner_iterations =
       options.schedule.iterations_per_module *
       std::max(1, initial.module_count());
-  const bool batched = options.engine == AnnealingEngine::kBatched;
 
   Rng master(options.seed);
   // Replica r's streams come from split_n(r) — order-independent, so the
@@ -215,8 +199,8 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
     replica->state =
         std::make_unique<IncrementalPlacementState>(start, evaluator);
     replica->move_rng = master.split_n(static_cast<std::uint64_t>(r));
-    // Mirrors anneal_fused: the Metropolis stream splits off the move
-    // stream at entry (consuming its first draw).
+    // The Metropolis stream splits off the move stream at entry
+    // (consuming its first draw).
     replica->metropolis_rng = replica->move_rng.split();
     const double rung = std::pow(portfolio.ladder_ratio, r);
     replica->schedule = options.schedule;
@@ -225,8 +209,6 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
     replica->temperature = replica->schedule.initial_temperature;
     replica->moves = &options.moves;
     replica->inner_iterations = inner_iterations;
-    replica->batched = batched;
-    replica->lookahead = std::max(1, options.speculation_lookahead);
     replica->draws.resize(static_cast<std::size_t>(inner_iterations));
     replica->record_initial();
     replicas.push_back(std::move(replica));
@@ -317,8 +299,7 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
     outcome.placement = std::move(best);
   } else {
     // No recordable state anywhere (callers that start feasible never hit
-    // this): fall back to replica 0's final state, as the single-run
-    // engines do.
+    // this): fall back to replica 0's final state, as anneal_from does.
     outcome.placement = replicas[0]->state->placement();
   }
 
@@ -341,13 +322,9 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
         rs.wall_seconds > 0.0
             ? static_cast<double>(rs.proposals) / rs.wall_seconds
             : 0.0;
-    rs.speculated = replica.state->speculation_priced();
-    rs.speculation_hits = replica.state->speculation_hits();
     total.proposals += rs.proposals;
     total.accepted += rs.accepted;
     total.uphill_accepted += rs.uphill_accepted;
-    total.speculated += rs.speculated;
-    total.speculation_hits += rs.speculation_hits;
     outcome.replica_stats.push_back(rs);
   }
   total.temperature_steps = done;

@@ -2,14 +2,15 @@
 // coupled annealing replicas raced over the shared thread pool
 // (util/parallel.h), i.e. parallel tempering across whole SA runs.
 //
-// Each replica runs the fused delta engine's proposal path (an
-// IncrementalPlacementState driven by propose_random with pre-batched
-// Metropolis draws — or the kBatched speculative variant, per
-// SaPlacerOptions::engine) on its own state, with its move and
-// Metropolis streams derived order-independently from the master seed
-// via Rng::split_n(r), and its temperature schedule scaled by
-// ladder_ratio^r (the whole schedule scales, so every replica runs the
-// same number of temperature steps and the exchange barriers align).
+// Each replica runs its own loop over an IncrementalPlacementState: move
+// generation fused into the delta pricing (propose_random) and the
+// Metropolis draws pre-batched per temperature step from a stream split
+// off the replica's move stream. Replica r's streams derive
+// order-independently from the master seed via Rng::split_n(r), and its
+// temperature schedule is scaled by ladder_ratio^r (the whole schedule
+// scales, so every replica runs the same number of temperature steps and
+// the exchange barriers align). At N = 1 this is a plain single-chain
+// anneal with no exchange partner.
 // Every exchange_period steps all replicas synchronize at a barrier
 // where adjacent-temperature pairs (alternating parity per barrier, the
 // standard parallel-tempering sweep) swap their placements under the
@@ -33,11 +34,11 @@
 namespace dmfb {
 
 /// Everything configurable about one portfolio run, over and above the
-/// per-replica annealing options (SaPlacerOptions; the replica engine
-/// must be an incremental one — kCopy is rejected).
+/// per-replica annealing options (SaPlacerOptions).
 struct PortfolioOptions {
   /// Replica count N; 0 = one per hardware thread (min 1). Part of the
-  /// reproducibility key: results are a function of (seed, N, K).
+  /// reproducibility key: results are a function of (seed, N, K), so the
+  /// compile cache fingerprints the resolved count (resolved_replicas).
   int replicas = 0;
   /// Temperature steps between exchange barriers (K).
   int exchange_period = 4;
@@ -55,6 +56,10 @@ struct PortfolioOptions {
   double target_cost = -std::numeric_limits<double>::infinity();
 };
 
+/// The replica count a run with `portfolio` uses: `replicas`, or the
+/// host's hardware thread count (min 1) when it is 0.
+int resolved_replicas(const PortfolioOptions& portfolio);
+
 /// Anneals a portfolio of replicas, every one starting from `initial`
 /// (or replica 0 from `replica0_initial` when given — the warm-start
 /// seam: the memoized placement seeds one chain, the fresh split seeds
@@ -69,7 +74,8 @@ struct PortfolioOptions {
 /// seconds_to_best is that clock at the barrier where the incumbent
 /// last improved. `outcome.replica_stats[r]` is replica r's own loop
 /// (own wall clock). `outcome.wall_seconds` is the actually elapsed
-/// time of this run, setup included.
+/// time of this run, setup included. Throws std::invalid_argument when
+/// options.schedule would never terminate (see validate_schedule).
 PlacementOutcome anneal_portfolio(const Placement& initial,
                                   const SaPlacerOptions& options,
                                   const PortfolioOptions& portfolio,

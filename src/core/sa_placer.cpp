@@ -1,51 +1,11 @@
 #include "core/sa_placer.h"
 
 #include <chrono>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
-#include <string>
 
 #include "core/greedy_placer.h"
 #include "core/incremental_cost.h"
 
 namespace dmfb {
-
-const char* to_string(AnnealingEngine engine) {
-  switch (engine) {
-    case AnnealingEngine::kDelta:
-      return "delta";
-    case AnnealingEngine::kCopy:
-      return "copy";
-    case AnnealingEngine::kFused:
-      return "fused";
-    case AnnealingEngine::kBatched:
-      return "batched";
-  }
-  return "?";
-}
-
-template <>
-AnnealingEngine from_string<AnnealingEngine>(std::string_view text) {
-  if (text == "delta") return AnnealingEngine::kDelta;
-  if (text == "copy") return AnnealingEngine::kCopy;
-  if (text == "fused") return AnnealingEngine::kFused;
-  if (text == "batched") return AnnealingEngine::kBatched;
-  throw std::invalid_argument(
-      "unknown AnnealingEngine \"" + std::string(text) +
-      "\" (expected one of: delta, copy, fused, batched)");
-}
-
-std::ostream& operator<<(std::ostream& os, AnnealingEngine engine) {
-  return os << to_string(engine);
-}
-
-std::istream& operator>>(std::istream& is, AnnealingEngine& engine) {
-  std::string token;
-  is >> token;
-  engine = from_string<AnnealingEngine>(token);
-  return is;
-}
 
 namespace detail {
 
@@ -82,34 +42,6 @@ PlacementOutcome place_simulated_annealing(const Schedule& schedule,
 
 namespace {
 
-/// The original engine: every proposal copies the placement and evaluates
-/// cost from scratch. Kept as the delta engine's cross-check oracle.
-Placement anneal_copy(const Placement& initial, const CostEvaluator& evaluator,
-                      const SaPlacerOptions& options, Rng& rng,
-                      AnnealingStats* stats) {
-  long long proposals_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
-  AnnealingProblem<Placement> problem;
-  problem.cost = [&](const Placement& p) { return evaluator.cost(p); };
-  problem.neighbor = [&](const Placement& p, double fraction, Rng& move_rng) {
-    Placement next = p;
-    const MoveKind kind =
-        apply_random_move(next, fraction, options.moves, move_rng);
-    ++proposals_by_kind[static_cast<int>(kind)];
-    return next;
-  };
-  problem.recordable = [&](const Placement& p) {
-    return p.feasible() && evaluator.defect_usage(p) == 0;
-  };
-  Placement best = anneal(initial, problem, options.schedule,
-                          initial.module_count(), rng, stats);
-  if (stats) {
-    for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
-      stats->proposals_by_kind[k] = proposals_by_kind[k];
-    }
-  }
-  return best;
-}
-
 /// Concrete (non-type-erased) delta problem, so the annealing loop inlines
 /// the callbacks — std::function dispatch measurably costs at the delta
 /// engine's proposal rates.
@@ -124,35 +56,13 @@ struct InlineDeltaProblem {
 template <typename P, typename C, typename R, typename Q, typename B>
 InlineDeltaProblem(P, C, R, Q, B) -> InlineDeltaProblem<P, C, R, Q, B>;
 
-/// anneal_batched's problem shape: speculate/activate in place of
-/// propose_delta, same resolution members.
-template <typename S, typename A, typename C, typename R, typename Q,
-          typename B>
-struct InlineBatchedProblem {
-  S speculate;
-  A activate;
-  C commit;
-  R revert;
-  Q recordable;
-  B record_best;
-};
-template <typename S, typename A, typename C, typename R, typename Q,
-          typename B>
-InlineBatchedProblem(S, A, C, R, Q, B)
-    -> InlineBatchedProblem<S, A, C, R, Q, B>;
-
-/// Shared scaffolding of the delta and fused engines: one
-/// IncrementalPlacementState mutated in place, each proposal priced by
-/// the delta of the cost terms it touched; the placement is only ever
-/// copied when a new best is recorded. `generate` turns (state, cached
-/// window span, rng) into one priced proposal and reports its kind;
-/// `loop` is anneal_delta or anneal_fused.
-template <typename Generate, typename Loop>
-Placement anneal_incremental_engine(const Placement& initial,
-                                    const CostEvaluator& evaluator,
-                                    const SaPlacerOptions& options, Rng& rng,
-                                    AnnealingStats* stats,
-                                    Generate&& generate, Loop&& loop) {
+/// The annealing engine: one IncrementalPlacementState mutated in place,
+/// each proposal priced by the delta of the cost terms it touched; the
+/// placement is only ever copied when a new best is recorded.
+Placement anneal_delta_engine(const Placement& initial,
+                              const CostEvaluator& evaluator,
+                              const SaPlacerOptions& options, Rng& rng,
+                              AnnealingStats* stats) {
   IncrementalPlacementState state(initial, evaluator);
 
   // Best-so-far as a pose list, not a Placement copy: the early
@@ -183,134 +93,12 @@ Placement anneal_incremental_engine(const Placement& initial,
           cached_span = controlling_window_span(state.placement(), fraction,
                                                 options.moves);
         }
-        MoveKind kind = MoveKind::kDisplace;
-        const double delta = generate(state, cached_span, move_rng, kind);
-        last_kind = static_cast<int>(kind);
-        ++proposals_by_kind[last_kind];
-        return delta;
-      },
-      /*commit=*/
-      [&] {
-        ++accepted_by_kind[last_kind];
-        return state.commit();
-      },
-      /*revert=*/[&] { state.revert(); },
-      /*recordable=*/
-      [&] { return state.feasible() && state.defect_cells() == 0; },
-      /*record_best=*/
-      [&](double) {
-        const auto& modules = state.placement().modules();
-        for (std::size_t i = 0; i < best_pose.size(); ++i) {
-          best_pose[i] = Pose{modules[i].anchor, modules[i].rotated};
-        }
-      }};
-
-  const double best_cost = loop(state.cost(), problem, options.schedule,
-                                initial.module_count(), rng, stats);
-  if (stats) {
-    for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
-      stats->proposals_by_kind[k] = proposals_by_kind[k];
-      stats->accepted_by_kind[k] = accepted_by_kind[k];
-    }
-  }
-  // No recordable state seen: fall back to the final current state, as the
-  // copying engine does.
-  if (!std::isfinite(best_cost)) return state.placement();
-  Placement best = state.placement();
-  for (std::size_t i = 0; i < best_pose.size(); ++i) {
-    best.set_position(static_cast<int>(i), best_pose[i].anchor,
-                      best_pose[i].rotated);
-  }
-  return best;
-}
-
-/// The delta engine: legacy-stream generation (the copy engine's exact
-/// trajectory) through the shared incremental scaffolding.
-Placement anneal_delta_engine(const Placement& initial,
-                              const CostEvaluator& evaluator,
-                              const SaPlacerOptions& options, Rng& rng,
-                              AnnealingStats* stats) {
-  return anneal_incremental_engine(
-      initial, evaluator, options, rng, stats,
-      [&options](IncrementalPlacementState& state, int span, Rng& move_rng,
-                 MoveKind& kind) {
         const PlacementMove move = generate_random_move_with_span(
-            state.placement(), span, options.moves, move_rng);
-        kind = move.kind;
+            state.placement(), cached_span, options.moves, move_rng);
+        last_kind = static_cast<int>(move.kind);
+        ++proposals_by_kind[last_kind];
         return state.propose(move);
       },
-      [](double cost, const auto& problem, const AnnealingSchedule& schedule,
-         int module_count, Rng& loop_rng, AnnealingStats* loop_stats) {
-        return anneal_delta(cost, problem, schedule, module_count, loop_rng,
-                            loop_stats);
-      });
-}
-
-/// The fused engine: move generation fused into the proposal
-/// (propose_random) driven by anneal_fused's batched-draw loop. Fastest
-/// path; deterministic per seed, but intentionally not the legacy
-/// kDelta/kCopy stream.
-Placement anneal_fused_engine(const Placement& initial,
-                              const CostEvaluator& evaluator,
-                              const SaPlacerOptions& options, Rng& rng,
-                              AnnealingStats* stats) {
-  return anneal_incremental_engine(
-      initial, evaluator, options, rng, stats,
-      [&options](IncrementalPlacementState& state, int span, Rng& move_rng,
-                 MoveKind& kind) {
-        const double delta = state.propose_random(span, options.moves,
-                                                  move_rng);
-        kind = state.last_move_kind();
-        return delta;
-      },
-      [](double cost, const auto& problem, const AnnealingSchedule& schedule,
-         int module_count, Rng& loop_rng, AnnealingStats* loop_stats) {
-        return anneal_fused(cost, problem, schedule, module_count, loop_rng,
-                            loop_stats);
-      });
-}
-
-/// The batched engine: speculative lookahead pricing
-/// (IncrementalPlacementState::speculate_batch/activate) driven by
-/// anneal_batched. Mirrors anneal_incremental_engine's scaffolding — the
-/// problem shape differs (speculate/activate instead of one propose), so
-/// it does not share the Generate hook.
-Placement anneal_batched_engine(const Placement& initial,
-                                const CostEvaluator& evaluator,
-                                const SaPlacerOptions& options, Rng& rng,
-                                AnnealingStats* stats) {
-  IncrementalPlacementState state(initial, evaluator);
-
-  struct Pose {
-    Point anchor;
-    bool rotated = false;
-  };
-  std::vector<Pose> best_pose(
-      static_cast<std::size_t>(initial.module_count()));
-
-  long long proposals_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
-  long long accepted_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
-  double cached_fraction = -1.0;
-  int cached_span = 0;
-  int last_kind = 0;
-
-  const InlineBatchedProblem problem{
-      /*speculate=*/[&](double fraction, Rng& move_rng, int capacity) {
-        if (fraction != cached_fraction) {
-          cached_fraction = fraction;
-          cached_span = controlling_window_span(state.placement(), fraction,
-                                                options.moves);
-        }
-        return state.speculate_batch(cached_span, options.moves, move_rng,
-                                     capacity);
-      },
-      /*activate=*/
-      [&](int b) {
-        const double delta = state.activate(b);
-        last_kind = static_cast<int>(state.last_move_kind());
-        ++proposals_by_kind[last_kind];
-        return delta;
-      },
       /*commit=*/
       [&] {
         ++accepted_by_kind[last_kind];
@@ -327,18 +115,16 @@ Placement anneal_batched_engine(const Placement& initial,
         }
       }};
 
-  const double best_cost =
-      anneal_batched(state.cost(), problem, options.schedule,
-                     initial.module_count(), options.speculation_lookahead,
-                     rng, stats);
+  const double best_cost = anneal_delta(state.cost(), problem,
+                                        options.schedule,
+                                        initial.module_count(), rng, stats);
   if (stats) {
     for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
       stats->proposals_by_kind[k] = proposals_by_kind[k];
       stats->accepted_by_kind[k] = accepted_by_kind[k];
     }
-    stats->speculated = state.speculation_priced();
-    stats->speculation_hits = state.speculation_hits();
   }
+  // No recordable state seen: fall back to the final current state.
   if (!std::isfinite(best_cost)) return state.placement();
   Placement best = state.placement();
   for (std::size_t i = 0; i < best_pose.size(); ++i) {
@@ -352,6 +138,7 @@ Placement anneal_batched_engine(const Placement& initial,
 
 PlacementOutcome anneal_from(const Placement& initial,
                              const SaPlacerOptions& options) {
+  validate_schedule(options.schedule);
   const auto start_time = std::chrono::steady_clock::now();
 
   CostEvaluator evaluator(options.weights, options.fti_options);
@@ -360,24 +147,8 @@ PlacementOutcome anneal_from(const Placement& initial,
   Rng rng(options.seed);
 
   PlacementOutcome outcome;
-  switch (options.engine) {
-    case AnnealingEngine::kCopy:
-      outcome.placement =
-          anneal_copy(initial, evaluator, options, rng, &outcome.stats);
-      break;
-    case AnnealingEngine::kFused:
-      outcome.placement = anneal_fused_engine(initial, evaluator, options,
-                                              rng, &outcome.stats);
-      break;
-    case AnnealingEngine::kBatched:
-      outcome.placement = anneal_batched_engine(initial, evaluator, options,
-                                                rng, &outcome.stats);
-      break;
-    case AnnealingEngine::kDelta:
-      outcome.placement = anneal_delta_engine(initial, evaluator, options,
-                                              rng, &outcome.stats);
-      break;
-  }
+  outcome.placement =
+      anneal_delta_engine(initial, evaluator, options, rng, &outcome.stats);
   outcome.cost = evaluator.evaluate(outcome.placement);
   outcome.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

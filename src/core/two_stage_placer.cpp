@@ -10,9 +10,9 @@ TwoStageOutcome place_two_stage(const Schedule& schedule,
   stage1.weights.beta = 0.0;  // fault-oblivious by definition
   outcome.stage1 = place_simulated_annealing(schedule, stage1);
 
-  // Inherits stage 1's engine: with the default delta engine, stage-2's
-  // beta > 0 objective runs on cached FTI relocation queries instead of
-  // rebuilding every module's prefix sums per proposal.
+  // Stage 2's beta > 0 objective runs on the delta engine's cached FTI
+  // relocation queries instead of rebuilding every module's prefix sums
+  // per proposal.
   SaPlacerOptions stage2 = options.stage1;
   stage2.schedule = options.ltsa;
   stage2.weights.beta = options.beta;

@@ -56,9 +56,15 @@ class Parser {
     if (at_end()) fail("unexpected end of input");
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        Value nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -228,6 +234,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;  ///< open arrays/objects around pos_
   std::size_t pos_ = 0;
 };
 

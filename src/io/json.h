@@ -7,7 +7,9 @@
 // the protocol stay exact up to 2^53), object member order is preserved,
 // and strings handle the standard escapes plus \uXXXX (encoded to UTF-8,
 // surrogate pairs included). No streaming, no comments, no trailing
-// commas — requests are one JSON object per line.
+// commas — requests are one JSON object per line. Arrays and objects nest
+// at most kMaxDepth deep, so a hostile line cannot exhaust the stack of
+// the recursive parser (or of the recursive destructor behind it).
 #pragma once
 
 #include <cstddef>
@@ -18,6 +20,10 @@
 #include <vector>
 
 namespace dmfb::json {
+
+/// Deepest array/object nesting parse() accepts; deeper input throws
+/// JsonError. The protocol itself nests four levels at most.
+inline constexpr int kMaxDepth = 128;
 
 /// Thrown on malformed JSON, with the 0-based byte offset in what().
 class JsonError : public std::runtime_error {

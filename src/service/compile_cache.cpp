@@ -39,7 +39,14 @@ void mix_placer_context(HashStream& h, const PlacerContext& c) {
       .mix(c.moves.min_window);
   mix_weights(h, c.weights);
   h.mix(c.fti_options.allow_rotation);
-  h.mix(static_cast<int>(c.engine));
+  // Portfolio results are a function of (seed, N, K, ladder): mix the
+  // *resolved* replica count, since replicas = 0 means the host's thread
+  // count. `threads` is execution-only (thread-count invariance is pinned
+  // by test_portfolio_placer).
+  h.mix(resolved_replicas(c.portfolio))
+      .mix(c.portfolio.exchange_period)
+      .mix(c.portfolio.ladder_ratio)
+      .mix(c.portfolio.target_cost);
   h.mix(c.two_stage_beta);
   mix_annealing(h, c.ltsa);
   h.mix(c.optimal.max_modules)
@@ -65,7 +72,7 @@ void mix_routing(HashStream& h, const RoutePlannerOptions& r) {
 }  // namespace
 
 std::uint64_t options_fingerprint(const PipelineOptions& options) {
-  HashStream h(/*seed=*/0x5EF1CE00000001ULL);  // versioned domain tag
+  HashStream h(/*seed=*/0x5EF1CE00000002ULL);  // versioned domain tag
   h.mix(static_cast<int>(options.binding_policy));
   // options.scheduler: AssayCase runs use the case's own scheduler
   // options, which the canonical assay text covers; graph/binding runs
@@ -94,8 +101,6 @@ std::uint64_t options_fingerprint(const PipelineOptions& options) {
   mix_routing(h, options.routing);
   h.mix(options.chip_width).mix(options.chip_height);
   h.mix(options.simulate);
-  // `simulation.engine` is deliberately *not* mixed: both engines are
-  // bit-identical by contract, so a cached result serves either.
   h.mix(options.simulation.droplet_speed_cells_per_s)
       .mix(options.simulation.verify_routing)
       .mix(options.simulation.record_events);

@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -15,8 +16,28 @@
 namespace dmfb {
 namespace {
 
-int as_int(const json::Value& value) {
-  return static_cast<int>(value.as_number());
+/// A wire number that must be an int: non-finite, fractional and
+/// out-of-range values are rejected by name (a bare static_cast of such
+/// a double is undefined behaviour).
+int as_int(const json::Value& value, const std::string& what) {
+  const double number = value.as_number();
+  if (!std::isfinite(number) || number != std::trunc(number) ||
+      number < std::numeric_limits<int>::min() ||
+      number > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(what + " must be an integer in int range, "
+                                "got " + json::Value(number).dump());
+  }
+  return static_cast<int>(number);
+}
+
+/// as_int for counts that must not be negative.
+int as_count(const json::Value& value, const std::string& what) {
+  const int count = as_int(value, what);
+  if (count < 0) {
+    throw std::invalid_argument(what + " must be >= 0, got " +
+                                std::to_string(count));
+  }
+  return count;
 }
 
 std::uint64_t as_u64(const json::Value& value) {
@@ -28,7 +49,7 @@ std::pair<int, int> as_dims(const json::Value& value, const char* what) {
   if (pair.size() != 2) {
     throw std::invalid_argument(std::string(what) + " must be [width,height]");
   }
-  return {as_int(pair[0]), as_int(pair[1])};
+  return {as_int(pair[0], what), as_int(pair[1], what)};
 }
 
 void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
@@ -38,7 +59,8 @@ void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
     } else if (key == "alpha") {
       schedule.cooling_rate = field.as_number();
     } else if (key == "iterations_per_module") {
-      schedule.iterations_per_module = as_int(field);
+      schedule.iterations_per_module =
+          as_int(field, "annealing.iterations_per_module");
     } else if (key == "min_temperature") {
       schedule.min_temperature = field.as_number();
     } else {
@@ -100,13 +122,10 @@ void parse_pipeline_options(const json::Value& value,
       options.placer_context.weights.gamma = field.as_number();
     } else if (key == "beta") {
       options.placer_context.weights.beta = field.as_number();
-    } else if (key == "engine") {
-      options.placer_context.engine =
-          from_string<AnnealingEngine>(field.as_string());
     } else if (key == "annealing") {
       parse_annealing(field, options.placer_context.annealing);
     } else if (key == "feedback_rounds") {
-      options.feedback_rounds = as_int(field);
+      options.feedback_rounds = as_count(field, "feedback_rounds");
     } else if (key == "deadline_s") {
       options.deadline_s = field.as_number();
     } else if (key == "plan_droplet_routes") {
@@ -124,13 +143,14 @@ void parse_pipeline_options(const json::Value& value,
           throw std::invalid_argument("fault_plan entries must be [t,x,y]");
         }
         options.fault_plan.faults.push_back(
-            PlannedFault{Point{as_int(triple[1]), as_int(triple[2])},
+            PlannedFault{Point{as_int(triple[1], "fault_plan cell"),
+                               as_int(triple[2], "fault_plan cell")},
                          triple[0].as_number(), -1});
       }
     } else if (key == "recovery_deadline_s") {
       options.recovery.deadline_s = field.as_number();
     } else if (key == "recovery_max_cycles") {
-      options.recovery.max_cycles = as_int(field);
+      options.recovery.max_cycles = as_count(field, "recovery_max_cycles");
     } else if (key == "evaluate_fault_tolerance") {
       options.evaluate_fault_tolerance = field.as_bool();
     } else if (key == "binding_policy") {
@@ -161,7 +181,6 @@ json::Value pipeline_options_to_json(const PipelineOptions& options) {
   }
   doc.set("gamma", options.placer_context.weights.gamma);
   doc.set("beta", options.placer_context.weights.beta);
-  doc.set("engine", to_string(options.placer_context.engine));
   {
     const AnnealingSchedule& s = options.placer_context.annealing;
     json::Value annealing;

@@ -42,12 +42,14 @@ namespace dmfb {
 
 /// Applies a wire "options" JSON object onto `options` (the request
 /// surface documented above: seed, placer, router, canvas, chip,
-/// defects, gamma, beta, engine, annealing, feedback_rounds, deadline_s,
+/// defects, gamma, beta, annealing, feedback_rounds, deadline_s,
 /// plan_droplet_routes, persist_congestion_history, simulate,
 /// fault_plan ([[t,x,y],...] mid-run injections — the response then
 /// carries a "recovery" telemetry block), recovery_deadline_s,
 /// recovery_max_cycles, evaluate_fault_tolerance, binding_policy).
-/// Unknown keys throw
+/// Integer fields must be integral numbers in int range; counts
+/// (feedback_rounds, recovery_max_cycles) must also be >= 0. Unknown keys
+/// (including the retired "engine") throw
 /// std::invalid_argument — a misspelled option that changed nothing
 /// would be the worst kind of service bug to chase from the client
 /// side. Shared by the compile server and the batch driver's worker

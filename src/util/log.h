@@ -9,8 +9,10 @@ namespace dmfb {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Global minimum level. Not thread-safe by design: the library is
-/// single-threaded (the annealer is a sequential heuristic, as in the paper).
+/// Global minimum level. Unsynchronized: the library is multi-threaded
+/// (portfolio replicas, parallel routing, run_many, the compile server's
+/// workers) and those threads read the level, so set it once at startup,
+/// before any of them run.
 void set_log_level(LogLevel level);
 LogLevel log_level();
 

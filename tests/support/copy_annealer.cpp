@@ -1,0 +1,42 @@
+#include "support/copy_annealer.h"
+
+#include "core/cost.h"
+#include "core/moves.h"
+
+namespace dmfb {
+
+PlacementOutcome anneal_copy(const Placement& initial,
+                             const SaPlacerOptions& options) {
+  validate_schedule(options.schedule);
+  const auto start_time = std::chrono::steady_clock::now();
+
+  CostEvaluator evaluator(options.weights, options.fti_options);
+  evaluator.set_defects(options.defects);
+  evaluator.set_route_links(options.route_links);
+  Rng rng(options.seed);
+
+  PlacementOutcome outcome;
+  long long proposals_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
+  AnnealingProblem<Placement> problem;
+  problem.cost = [&](const Placement& p) { return evaluator.cost(p); };
+  problem.neighbor = [&](const Placement& p, double fraction, Rng& move_rng) {
+    Placement next = p;
+    const MoveKind kind =
+        apply_random_move(next, fraction, options.moves, move_rng);
+    ++proposals_by_kind[static_cast<int>(kind)];
+    return next;
+  };
+  problem.recordable = [&](const Placement& p) {
+    return p.feasible() && evaluator.defect_usage(p) == 0;
+  };
+  outcome.placement = anneal(initial, problem, options.schedule,
+                             initial.module_count(), rng, &outcome.stats);
+  for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
+    outcome.stats.proposals_by_kind[k] = proposals_by_kind[k];
+  }
+  outcome.cost = evaluator.evaluate(outcome.placement);
+  outcome.wall_seconds = detail::seconds_since(start_time);
+  return outcome;
+}
+
+}  // namespace dmfb

@@ -1,11 +1,16 @@
-// Tests for the generic simulated-annealing engine (core/annealer.h),
-// exercised on simple numeric problems with known optima.
+// Tests for the simulated-annealing loops on simple numeric problems
+// with known optima: the production in-place loop (core/annealer.h
+// anneal_delta) and the copying oracle it is pinned against
+// (tests/support/copy_annealer.h anneal), plus schedule validation.
 #include "core/annealer.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+
+#include "support/copy_annealer.h"
 
 namespace dmfb {
 namespace {
@@ -119,9 +124,11 @@ TEST(AnnealerTest, NoRecordableStateFallsBackToCurrent) {
   SUCCEED();
 }
 
-/// Minimal in-place state for the fused loop: an integer walker with
-/// propose/commit/revert semantics over the quadratic objective.
-struct FusedQuadratic {
+/// Minimal in-place state for the delta loop: an integer walker with
+/// propose/commit/revert semantics over the quadratic objective. Draws
+/// exactly what quadratic_problem's neighbour draws, so both loops see
+/// the same stream.
+struct DeltaQuadratic {
   int current = 1000;
   int pending = 1000;
 
@@ -131,11 +138,12 @@ struct FusedQuadratic {
   }
 
   struct Problem {
-    FusedQuadratic* state;
-    double (*propose_delta_fn)(FusedQuadratic&, double, Rng&);
+    DeltaQuadratic* state;
 
     double propose_delta(double fraction, Rng& rng) const {
-      return propose_delta_fn(*state, fraction, rng);
+      const int span = std::max(1, static_cast<int>(100 * fraction));
+      state->pending = state->current + rng.next_int(-span, span);
+      return cost_of(state->pending) - cost_of(state->current);
     }
     double commit() const {
       state->current = state->pending;
@@ -146,47 +154,25 @@ struct FusedQuadratic {
     void record_best(double) const {}
   };
 
-  Problem problem() {
-    return Problem{this, [](FusedQuadratic& s, double fraction, Rng& rng) {
-                     const int span =
-                         std::max(1, static_cast<int>(100 * fraction));
-                     s.pending = s.current + rng.next_int(-span, span);
-                     return cost_of(s.pending) - cost_of(s.current);
-                   }};
-  }
+  Problem problem() { return Problem{this}; }
 };
 
-TEST(AnnealerTest, FusedFindsQuadraticMinimum) {
-  FusedQuadratic state;
+TEST(AnnealerTest, DeltaFindsQuadraticMinimum) {
+  DeltaQuadratic state;
   Rng rng(1);
   AnnealingSchedule schedule;
   schedule.initial_temperature = 1000.0;
   schedule.min_temperature = 0.01;
   AnnealingStats stats;
   const double best =
-      anneal_fused(FusedQuadratic::cost_of(state.current), state.problem(),
+      anneal_delta(DeltaQuadratic::cost_of(state.current), state.problem(),
                    schedule, 1, rng, &stats);
   EXPECT_DOUBLE_EQ(best, 0.0);
   EXPECT_DOUBLE_EQ(stats.best_cost, 0.0);
 }
 
-TEST(AnnealerTest, FusedDeterministicForSeed) {
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 100.0;
-  schedule.iterations_per_module = 50;
-  FusedQuadratic a;
-  FusedQuadratic b;
-  Rng rng_a(7);
-  Rng rng_b(7);
-  EXPECT_EQ(anneal_fused(FusedQuadratic::cost_of(a.current), a.problem(),
-                         schedule, 2, rng_a),
-            anneal_fused(FusedQuadratic::cost_of(b.current), b.problem(),
-                         schedule, 2, rng_b));
-  EXPECT_EQ(a.current, b.current);
-}
-
-TEST(AnnealerTest, FusedStatsAreConsistent) {
-  FusedQuadratic state;
+TEST(AnnealerTest, DeltaStatsAreConsistent) {
+  DeltaQuadratic state;
   Rng rng(3);
   AnnealingSchedule schedule;
   schedule.initial_temperature = 100.0;
@@ -194,9 +180,8 @@ TEST(AnnealerTest, FusedStatsAreConsistent) {
   schedule.iterations_per_module = 10;
   schedule.min_temperature = 1.0;
   AnnealingStats stats;
-  anneal_fused(FusedQuadratic::cost_of(state.current), state.problem(),
+  anneal_delta(DeltaQuadratic::cost_of(state.current), state.problem(),
                schedule, 3, rng, &stats);
-  // Same schedule shape as the legacy loop: 7 halvings from 100 to > 1.
   EXPECT_EQ(stats.temperature_steps, 7);
   EXPECT_EQ(stats.proposals, 7LL * 10 * 3);
   EXPECT_LE(stats.accepted, stats.proposals);
@@ -204,112 +189,54 @@ TEST(AnnealerTest, FusedStatsAreConsistent) {
   EXPECT_GT(stats.accepted, 0);
 }
 
-/// BatchedQuadratic: the integer walker with anneal_batched's
-/// speculate/activate surface. Offsets are drawn batch-at-a-time and
-/// applied relative to the activation-time state, so the move stream is
-/// consumed in the same order as FusedQuadratic's — at lookahead 1 the
-/// trajectories must match bit for bit.
-struct BatchedQuadratic {
-  int current = 1000;
-  int pending = 1000;
-  int offsets[64] = {};
-
-  struct Problem {
-    BatchedQuadratic* state;
-
-    int speculate(double fraction, Rng& rng, int capacity) const {
-      const int span = std::max(1, static_cast<int>(100 * fraction));
-      for (int b = 0; b < capacity; ++b) {
-        state->offsets[b] = rng.next_int(-span, span);
-      }
-      return capacity;
-    }
-    double activate(int b) const {
-      state->pending = state->current + state->offsets[b];
-      return FusedQuadratic::cost_of(state->pending) -
-             FusedQuadratic::cost_of(state->current);
-    }
-    double commit() const {
-      state->current = state->pending;
-      return FusedQuadratic::cost_of(state->current);
-    }
-    void revert() const {}
-    bool recordable() const { return true; }
-    void record_best(double) const {}
-  };
-
-  Problem problem() { return Problem{this}; }
-};
-
-TEST(AnnealerTest, BatchedFindsQuadraticMinimum) {
-  BatchedQuadratic state;
-  Rng rng(1);
+TEST(AnnealerTest, DeltaLoopReplaysTheCopyingOracle) {
+  // Same stream, same Metropolis rule: the in-place loop must walk the
+  // copying loop's exact trajectory, not merely reach a similar answer.
   AnnealingSchedule schedule;
-  schedule.initial_temperature = 1000.0;
-  schedule.min_temperature = 0.01;
-  AnnealingStats stats;
-  const double best = anneal_batched(FusedQuadratic::cost_of(state.current),
-                                     state.problem(), schedule, 1,
-                                     /*lookahead=*/8, rng, &stats);
-  EXPECT_DOUBLE_EQ(best, 0.0);
-  EXPECT_DOUBLE_EQ(stats.best_cost, 0.0);
-}
-
-TEST(AnnealerTest, BatchedLookaheadOneMatchesFused) {
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 1000.0;
-  schedule.iterations_per_module = 50;
+  schedule.initial_temperature = 500.0;
+  schedule.cooling_rate = 0.8;
+  schedule.iterations_per_module = 25;
   schedule.min_temperature = 0.05;
-  FusedQuadratic fused;
-  BatchedQuadratic batched;
-  Rng rng_f(7);
-  Rng rng_b(7);
-  AnnealingStats sf, sb;
-  const double best_f = anneal_fused(FusedQuadratic::cost_of(fused.current),
-                                     fused.problem(), schedule, 2, rng_f, &sf);
-  const double best_b = anneal_batched(
-      FusedQuadratic::cost_of(batched.current), batched.problem(), schedule,
-      2, /*lookahead=*/1, rng_b, &sb);
-  EXPECT_EQ(best_f, best_b);
-  EXPECT_EQ(fused.current, batched.current);
-  EXPECT_EQ(sf.accepted, sb.accepted);
-  EXPECT_EQ(sf.uphill_accepted, sb.uphill_accepted);
+  Rng rng_copy(21);
+  Rng rng_delta(21);
+  AnnealingStats copy_stats;
+  AnnealingStats delta_stats;
+  const int copy_best = anneal(1000, quadratic_problem(), schedule, 2,
+                               rng_copy, &copy_stats);
+  DeltaQuadratic state;
+  const double delta_best =
+      anneal_delta(DeltaQuadratic::cost_of(state.current), state.problem(),
+                   schedule, 2, rng_delta, &delta_stats);
+  EXPECT_EQ(delta_best, DeltaQuadratic::cost_of(copy_best));
+  EXPECT_EQ(delta_stats.proposals, copy_stats.proposals);
+  EXPECT_EQ(delta_stats.accepted, copy_stats.accepted);
+  EXPECT_EQ(delta_stats.uphill_accepted, copy_stats.uphill_accepted);
+  EXPECT_EQ(rng_delta.next(), rng_copy.next());  // identical consumption
 }
 
-TEST(AnnealerTest, BatchedDeterministicForSeed) {
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 100.0;
-  schedule.iterations_per_module = 50;
-  BatchedQuadratic a;
-  BatchedQuadratic b;
-  Rng rng_a(7);
-  Rng rng_b(7);
-  EXPECT_EQ(anneal_batched(FusedQuadratic::cost_of(a.current), a.problem(),
-                           schedule, 2, 8, rng_a),
-            anneal_batched(FusedQuadratic::cost_of(b.current), b.problem(),
-                           schedule, 2, 8, rng_b));
-  EXPECT_EQ(a.current, b.current);
-}
-
-TEST(AnnealerTest, BatchedStatsAreConsistent) {
-  BatchedQuadratic state;
-  Rng rng(3);
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 100.0;
-  schedule.cooling_rate = 0.5;
-  schedule.iterations_per_module = 10;
-  schedule.min_temperature = 1.0;
-  AnnealingStats stats;
-  anneal_batched(FusedQuadratic::cost_of(state.current), state.problem(),
-                 schedule, 3, /*lookahead=*/7, rng, &stats);
-  // Batching changes when moves are generated, never how many decisions
-  // run: the same 7 halvings and the same per-step inner count (the last
-  // batch of each step is clipped, not padded).
-  EXPECT_EQ(stats.temperature_steps, 7);
-  EXPECT_EQ(stats.proposals, 7LL * 10 * 3);
-  EXPECT_LE(stats.accepted, stats.proposals);
-  EXPECT_LE(stats.uphill_accepted, stats.accepted);
-  EXPECT_GT(stats.accepted, 0);
+TEST(AnnealerTest, ValidateScheduleRejectsNonTerminatingSchedules) {
+  EXPECT_NO_THROW(validate_schedule(AnnealingSchedule{}));
+  const auto rejects = [](auto mutate, const char* what) {
+    AnnealingSchedule schedule;
+    mutate(schedule);
+    EXPECT_THROW(validate_schedule(schedule), std::invalid_argument) << what;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  rejects([](AnnealingSchedule& s) { s.cooling_rate = 1.0; }, "alpha = 1");
+  rejects([](AnnealingSchedule& s) { s.cooling_rate = 0.0; }, "alpha = 0");
+  rejects([](AnnealingSchedule& s) { s.cooling_rate = 1.5; }, "alpha > 1");
+  rejects([&](AnnealingSchedule& s) { s.cooling_rate = nan; }, "alpha NaN");
+  rejects([](AnnealingSchedule& s) { s.min_temperature = -1.0; },
+          "min_temperature < 0");
+  rejects([](AnnealingSchedule& s) { s.min_temperature = 0.0; },
+          "min_temperature = 0");
+  rejects([&](AnnealingSchedule& s) { s.initial_temperature = inf; },
+          "T0 infinite");
+  rejects([&](AnnealingSchedule& s) { s.initial_temperature = nan; },
+          "T0 NaN");
+  rejects([](AnnealingSchedule& s) { s.iterations_per_module = -1; },
+          "negative Na");
 }
 
 TEST(AnnealerTest, PaperDefaultsMatchSection4d) {

@@ -1,7 +1,7 @@
 // Tests for the closed synthesis loop: transport-aware scheduling
 // (Schedule::shift_from / fold_transport / the steps->seconds seam),
 // routing-aware placement (the gamma routing-pressure term, priced
-// identically by the copy and delta annealing engines), link
+// identically by the delta engine and the copying oracle), link
 // extraction/feedback (routing::extract_links / reweight_links), and the
 // SynthesisPipeline feedback rounds. Pins the PR's three contracts:
 //   (a) the transport-inclusive makespan is monotone (>= the
@@ -10,7 +10,7 @@
 //   (b) feedback rounds are deterministic from one seed for any routing
 //       thread count,
 //   (c) with feedback_rounds = 0 and gamma = 0 the flow is bit-identical
-//       to the classic feed-forward pipeline (copy and delta engines).
+//       to the classic feed-forward pipeline.
 #include <algorithm>
 #include <cstdint>
 
@@ -19,11 +19,13 @@
 #include "assay/assay_library.h"
 #include "assay/pipeline.h"
 #include "assay/random_assay.h"
+#include "core/greedy_placer.h"
 #include "core/incremental_cost.h"
 #include "core/moves.h"
 #include "core/placer.h"
 #include "sim/route_planner.h"
 #include "sim/router_backend.h"
+#include "support/copy_annealer.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -245,7 +247,7 @@ TEST(ClosedLoopTest, IncrementalStateTracksRoutePressureThroughMoves) {
   }
 }
 
-TEST(ClosedLoopTest, DeltaAndCopyEnginesAgreeUnderGamma) {
+TEST(ClosedLoopTest, DeltaEngineReplaysCopyOracleUnderGamma) {
   PipelineOptions options = fast_options();
   options.plan_droplet_routes = false;
   const PipelineResult synth =
@@ -260,15 +262,16 @@ TEST(ClosedLoopTest, DeltaAndCopyEnginesAgreeUnderGamma) {
     context.weights.gamma = 0.05;
     context.route_links = links;
 
-    context.engine = AnnealingEngine::kDelta;
     const PlacementOutcome delta =
         make_placer("sa")->place(synth.schedule, context);
-    context.engine = AnnealingEngine::kCopy;
-    const PlacementOutcome copy =
-        make_placer("sa")->place(synth.schedule, context);
+    // The "sa" backend anneals from the greedy initial; so does the oracle.
+    const PlacementOutcome copy = anneal_copy(
+        place_greedy(synth.schedule, context.canvas_width,
+                     context.canvas_height, context.defects),
+        sa_options_from(context));
 
-    // The gamma term is exact integer arithmetic in both engines, so the
-    // whole trajectory — not just the answer — coincides.
+    // The gamma term is exact integer arithmetic in both, so the whole
+    // trajectory — not just the answer — coincides.
     EXPECT_EQ(delta.cost.value, copy.cost.value) << "beta " << beta;
     expect_same_placement(delta.placement, copy.placement);
   }
@@ -278,24 +281,20 @@ TEST(ClosedLoopTest, DeltaAndCopyEnginesAgreeUnderGamma) {
 
 TEST(ClosedLoopTest, GammaZeroFeedbackZeroIsBitIdenticalToClassicFlow) {
   const AssayCase assay = pcr_mixing_assay();
-  for (const AnnealingEngine engine :
-       {AnnealingEngine::kDelta, AnnealingEngine::kCopy}) {
-    PipelineOptions options = fast_options();
-    options.seed = 99;
-    options.placer_context.engine = engine;
-    const PipelineResult piped = SynthesisPipeline(options).run(assay);
+  PipelineOptions options = fast_options();
+  options.seed = 99;
+  const PipelineResult piped = SynthesisPipeline(options).run(assay);
 
-    // The classic flow, hand-wired: same schedule, placer, seed.
-    PlacerContext context = options.placer_context;
-    context.seed = 99;
-    const PlacementOutcome hand =
-        make_placer("sa")->place(piped.schedule, context);
+  // The classic flow, hand-wired: same schedule, placer, seed.
+  PlacerContext context = options.placer_context;
+  context.seed = 99;
+  const PlacementOutcome hand =
+      make_placer("sa")->place(piped.schedule, context);
 
-    expect_same_placement(piped.placement.placement, hand.placement);
-    EXPECT_EQ(piped.placement.cost.value, hand.cost.value);
-    EXPECT_TRUE(piped.feedback_history.empty());
-    EXPECT_EQ(piped.selected_round, 0);
-  }
+  expect_same_placement(piped.placement.placement, hand.placement);
+  EXPECT_EQ(piped.placement.cost.value, hand.cost.value);
+  EXPECT_TRUE(piped.feedback_history.empty());
+  EXPECT_EQ(piped.selected_round, 0);
 }
 
 TEST(ClosedLoopTest, FeedbackKeepsTheBestRoundAndNeverDoesWorse) {

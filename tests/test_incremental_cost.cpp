@@ -2,7 +2,7 @@
 // incremental state must track the from-scratch CostEvaluator exactly —
 // after every propose, commit and revert, for beta = 0 and beta > 0, with
 // and without defect maps — and the delta annealing engine must replay the
-// copying engine's trajectory seed for seed.
+// copying oracle's (tests/support/copy_annealer.h) trajectory seed for seed.
 #include "core/incremental_cost.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "core/fti.h"
 #include "core/moves.h"
 #include "core/sa_placer.h"
+#include "support/copy_annealer.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -139,8 +140,8 @@ void expect_identical_outcomes(const PlacementOutcome& copy,
   }
 }
 
-/// Seed-for-seed equivalence of the copying and delta engines over a
-/// shortened (but real) annealing run.
+/// Seed-for-seed equivalence of the copying oracle and the delta engine
+/// over a shortened (but real) annealing run.
 void run_engine_equivalence(double beta, std::vector<Point> defects,
                             std::uint64_t seed) {
   Rng rng(seed);
@@ -158,9 +159,7 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
   options.defects = std::move(defects);
   options.seed = seed;
 
-  options.engine = AnnealingEngine::kCopy;
-  const PlacementOutcome copy = anneal_from(initial, options);
-  options.engine = AnnealingEngine::kDelta;
+  const PlacementOutcome copy = anneal_copy(initial, options);
   const PlacementOutcome delta = anneal_from(initial, options);
   expect_identical_outcomes(copy, delta);
 }
@@ -300,12 +299,12 @@ TEST(IncrementalCostTest, CoverageAuditRoutePressureOnly) {
 }
 
 TEST(IncrementalCostTest, ProposeRandomMatchesGenerateThenPropose) {
-  // The fused proposal path re-implements the generator; this pins its
-  // documented contract: same draws in the same order, same move, same
-  // delta as generate_random_move_with_span + propose — the kFused
-  // analogue of MovesTest.WithSpanOverloadIsStreamIdentical (kFused
-  // results may differ from kDelta, so a drift between the two
-  // generators would otherwise go unnoticed).
+  // The fused proposal path (the portfolio replicas') re-implements the
+  // generator; this pins its documented contract: same draws in the same
+  // order, same move, same delta as generate_random_move_with_span +
+  // propose — the analogue of MovesTest.WithSpanOverloadIsStreamIdentical
+  // (portfolio results are not the "sa" placement, so a drift between the
+  // two generators would otherwise go unnoticed).
   Rng seed_rng(55);
   const Schedule schedule = mixed_schedule(7, seed_rng);
   const Placement initial = random_placement(schedule, 16, seed_rng);
@@ -344,80 +343,6 @@ TEST(IncrementalCostTest, ProposeRandomMatchesGenerateThenPropose) {
               split.placement().module(i).rotated)
         << "module " << i;
   }
-}
-
-/// Speculation audit: drive speculate_batch/activate with random
-/// commit/revert decisions and verify every activated delta against the
-/// state's own commit arithmetic and the from-scratch evaluator. Served
-/// speculative deltas may differ from a fresh pricing in the last ULPs
-/// (the stored price summed the same terms against marginally different
-/// global totals), so the delta check is a NEAR; the committed absolute
-/// state must still match the evaluator exactly.
-void run_speculation_audit(double beta, std::vector<Point> defects,
-                           int lookahead, std::uint64_t seed) {
-  Rng rng(seed);
-  const Schedule schedule = mixed_schedule(8, rng);
-  const Placement initial = random_placement(schedule, 16, rng);
-
-  CostWeights weights;
-  weights.beta = beta;
-  CostEvaluator evaluator(weights);
-  evaluator.set_defects(std::move(defects));
-
-  IncrementalPlacementState state(initial, evaluator);
-  MoveOptions moves;  // defaults: displacements, swaps and rotations
-
-  long long decisions = 0;
-  for (int round = 0; round < 40; ++round) {
-    const double fraction = 1.0 - static_cast<double>(round) / 40.0;
-    const int span =
-        controlling_window_span(state.placement(), fraction, moves);
-    const int filled = state.speculate_batch(span, moves, rng, lookahead);
-    ASSERT_EQ(filled, lookahead);
-    for (int b = 0; b < filled; ++b) {
-      const double before = state.cost();
-      const double delta = state.activate(b);
-      ASSERT_TRUE(state.has_pending());
-      ++decisions;
-      if (rng.next_bool(0.5)) {
-        const double after = state.commit();
-        const double scale = std::max(1.0, std::abs(before));
-        EXPECT_NEAR(after - before, delta, 1e-9 * scale)
-            << "round " << round << " entry " << b;
-        expect_matches_evaluator(state, evaluator);
-      } else {
-        state.revert();
-        EXPECT_DOUBLE_EQ(state.cost(), before);
-      }
-      ASSERT_FALSE(state.has_pending());
-    }
-  }
-  expect_matches_evaluator(state, evaluator);
-  if (beta == 0.0) {
-    // The lazy path pre-prices every drawn move; commits inside a batch
-    // invalidate some of those prices, never more than were priced.
-    EXPECT_EQ(state.speculation_priced(), decisions);
-    EXPECT_GT(state.speculation_hits(), 0);
-    EXPECT_LE(state.speculation_hits(), state.speculation_priced());
-  } else {
-    // Eager pricing mutates the state, so speculation only pre-draws.
-    EXPECT_EQ(state.speculation_priced(), 0);
-    EXPECT_EQ(state.speculation_hits(), 0);
-  }
-}
-
-TEST(IncrementalCostTest, SpeculationAuditAreaOnly) {
-  run_speculation_audit(/*beta=*/0.0, {}, /*lookahead=*/6, /*seed=*/501);
-  run_speculation_audit(/*beta=*/0.0, {}, /*lookahead=*/1, /*seed=*/502);
-}
-
-TEST(IncrementalCostTest, SpeculationAuditWithDefects) {
-  run_speculation_audit(/*beta=*/0.0, {{3, 3}, {9, 12}, {3, 3}},
-                        /*lookahead=*/6, /*seed=*/511);
-}
-
-TEST(IncrementalCostTest, SpeculationAuditWithFtiFallsBackToFreshPricing) {
-  run_speculation_audit(/*beta=*/30.0, {}, /*lookahead=*/6, /*seed=*/521);
 }
 
 TEST(IncrementalCostTest, EmptyPlacementProposalsAreNoOps) {

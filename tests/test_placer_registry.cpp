@@ -228,8 +228,8 @@ TEST(PortfolioPlacerTest, DeterministicForSeedReplicasAndPeriod) {
 TEST(PortfolioPlacerTest, BeatsOrMatchesSingleReplicaOnTheSmallInstance) {
   const Schedule schedule = small_schedule();
   PlacerContext context = fast_context();
-  context.engine = AnnealingEngine::kFused;
-  const auto serial = make_placer("sa")->place(schedule, context);
+  context.portfolio.replicas = 1;
+  const auto serial = make_placer("portfolio")->place(schedule, context);
   context.portfolio.replicas = 4;
   const auto portfolio = make_placer("portfolio")->place(schedule, context);
   EXPECT_TRUE(portfolio.placement.feasible());

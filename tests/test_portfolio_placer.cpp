@@ -30,7 +30,6 @@ SaPlacerOptions fast_options() {
   options.schedule.initial_temperature = 1000.0;
   options.schedule.cooling_rate = 0.8;
   options.schedule.iterations_per_module = 40;
-  options.engine = AnnealingEngine::kFused;
   return options;
 }
 
@@ -184,18 +183,6 @@ TEST(PortfolioPlacerTest, WarmStartNeverWorsensTheWarmSource) {
   EXPECT_LE(warm.cost.value, cold.cost.value);
 }
 
-TEST(PortfolioPlacerTest, BatchedReplicasReportSpeculation) {
-  SaPlacerOptions options = fast_options();
-  options.engine = AnnealingEngine::kBatched;
-  options.speculation_lookahead = 8;
-  const PlacementOutcome outcome =
-      place_portfolio(pcr_schedule(), options, fast_portfolio());
-  EXPECT_TRUE(outcome.placement.feasible());
-  EXPECT_GT(outcome.stats.speculated, 0);
-  EXPECT_GT(outcome.stats.speculation_hits, 0);
-  EXPECT_LE(outcome.stats.speculation_hits, outcome.stats.speculated);
-}
-
 TEST(PortfolioPlacerTest, AvoidsDefectiveElectrodes) {
   SaPlacerOptions options = fast_options();
   options.defects = {Point{4, 4}, Point{12, 9}, Point{18, 17}};
@@ -210,9 +197,15 @@ TEST(PortfolioPlacerTest, AvoidsDefectiveElectrodes) {
   }
 }
 
-TEST(PortfolioPlacerTest, RejectsTheCopyEngine) {
+TEST(PortfolioPlacerTest, RejectsSchedulesThatNeverTerminate) {
+  // A negative Na once reached a std::vector resize inside the replicas
+  // and leaked libstdc++'s "vector::_M_default_append" to the client.
   SaPlacerOptions options = fast_options();
-  options.engine = AnnealingEngine::kCopy;
+  options.schedule.iterations_per_module = -1;
+  EXPECT_THROW(place_portfolio(pcr_schedule(), options, fast_portfolio()),
+               std::invalid_argument);
+  options = fast_options();
+  options.schedule.cooling_rate = 1.0;
   EXPECT_THROW(place_portfolio(pcr_schedule(), options, fast_portfolio()),
                std::invalid_argument);
 }
@@ -224,7 +217,9 @@ TEST(PortfolioPlacerTest, ZeroReplicasResolvesToHardwareConcurrency) {
   portfolio.replicas = 0;
   const PlacementOutcome outcome =
       place_portfolio(pcr_schedule(), options, portfolio);
-  EXPECT_GE(outcome.replica_stats.size(), 1u);
+  EXPECT_EQ(static_cast<int>(outcome.replica_stats.size()),
+            resolved_replicas(portfolio));
+  EXPECT_GE(resolved_replicas(portfolio), 1);
   EXPECT_TRUE(outcome.placement.feasible());
 }
 

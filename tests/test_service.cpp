@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -106,6 +107,50 @@ TEST(CompileCacheTest, OptionsFingerprintSeesCompileRelevantFields) {
   PipelineOptions slow = with_plan;
   slow.recovery.deadline_s = 99.0;
   EXPECT_EQ(options_fingerprint(slow), options_fingerprint(with_plan));
+}
+
+TEST(CompileCacheTest, OptionsFingerprintSeesPortfolioOptions) {
+  // A saved cache or batch ledger must never serve a portfolio result
+  // computed under another replica count, exchange period, ladder or
+  // early-stop target.
+  const auto fingerprint = [](auto mutate) {
+    PipelineOptions options = fast_options();
+    options.placer = "portfolio";
+    mutate(options.placer_context.portfolio);
+    return options_fingerprint(options);
+  };
+  const std::uint64_t two = fingerprint([](PortfolioOptions& p) {
+    p.replicas = 2;
+  });
+  EXPECT_NE(fingerprint([](PortfolioOptions& p) { p.replicas = 3; }), two);
+  EXPECT_NE(fingerprint([](PortfolioOptions& p) {
+              p.replicas = 2;
+              p.exchange_period = 8;
+            }),
+            two);
+  EXPECT_NE(fingerprint([](PortfolioOptions& p) {
+              p.replicas = 2;
+              p.ladder_ratio = 1.5;
+            }),
+            two);
+  EXPECT_NE(fingerprint([](PortfolioOptions& p) {
+              p.replicas = 2;
+              p.target_cost = 100.0;
+            }),
+            two);
+  // Execution-only: the worker thread count never changes the result.
+  EXPECT_EQ(fingerprint([](PortfolioOptions& p) {
+              p.replicas = 2;
+              p.threads = 7;
+            }),
+            two);
+  // replicas = 0 is the host's thread count, and fingerprints as such.
+  const int host = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(fingerprint([](PortfolioOptions& p) { p.replicas = 0; }),
+            fingerprint([&](PortfolioOptions& p) { p.replicas = host; }));
+  EXPECT_NE(fingerprint([](PortfolioOptions& p) { p.replicas = 0; }),
+            fingerprint([&](PortfolioOptions& p) { p.replicas = host + 1; }));
 }
 
 TEST(CompileCacheTest, OptionsFingerprintIgnoresExecutionOnlyFields) {
@@ -336,6 +381,53 @@ TEST(ServerTest, ParseRequestRejectsUnknownOptionsAndMissingAssay) {
   doc.set("options", std::move(options));
   EXPECT_THROW(server.parse_request(doc.dump()), std::invalid_argument);
   EXPECT_THROW(server.parse_request("not json"), json::JsonError);
+
+  // The annealing-engine selector is gone: "engine" is just another
+  // unknown option.
+  json::Value retired_doc;
+  retired_doc.set("assay", assay_to_string(pcr_mixing_assay()));
+  json::Value retired;
+  retired.set("engine", std::string("delta"));
+  retired_doc.set("options", std::move(retired));
+  try {
+    server.parse_request(retired_doc.dump());
+    FAIL() << "\"engine\" was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()), "unknown option \"engine\"");
+  }
+}
+
+TEST(ServerTest, ParseRequestRejectsNumbersThatAreNotInts) {
+  const CompileServer server;
+  const auto parse_with = [&](const std::string& options_json) {
+    return server.parse_request(
+        "{\"id\":\"x\",\"assay\":" +
+        json::Value(assay_to_string(pcr_mixing_assay())).dump() +
+        ",\"options\":" + options_json + "}");
+  };
+  const auto rejects = [&](const std::string& options_json,
+                           const std::string& field) {
+    try {
+      parse_with(options_json);
+      ADD_FAILURE() << options_json << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  // 3.7e10 does not fit an int: casting it was undefined behaviour.
+  rejects("{\"canvas\":[3.7e10,2]}", "canvas");
+  rejects("{\"canvas\":[2.5,2]}", "canvas");
+  rejects("{\"chip\":[16,-1e300]}", "chip");
+  rejects("{\"defects\":[[1,1e19]]}", "defect cell");
+  rejects("{\"fault_plan\":[[1.0,0.5,2]]}", "fault_plan cell");
+  rejects("{\"annealing\":{\"iterations_per_module\":1e12}}",
+          "iterations_per_module");
+  rejects("{\"feedback_rounds\":-1}", "feedback_rounds");
+  rejects("{\"recovery_max_cycles\":-1}", "recovery_max_cycles");
+  const CompileRequest ok = parse_with("{\"canvas\":[-3,2147483647]}");
+  EXPECT_EQ(ok.options.placer_context.canvas_width, -3);
+  EXPECT_EQ(ok.options.placer_context.canvas_height, 2147483647);
 }
 
 TEST(ServerTest, ServeAnswersRequestsControlLinesAndErrors) {
@@ -419,6 +511,108 @@ TEST(ServerTest, ServeAnswersRequestsControlLinesAndErrors) {
   EXPECT_TRUE(saw_stats);
 }
 
+// --- hostile lines: an error response each, and the server keeps serving
+
+/// One request line for the PCR assay with `options_json` spliced in.
+std::string request_line(const std::string& id,
+                         const std::string& options_json) {
+  return "{\"id\":\"" + id + "\",\"assay\":" +
+         json::Value(assay_to_string(pcr_mixing_assay())).dump() +
+         ",\"cache\":false,\"options\":" + options_json + "}";
+}
+
+/// Serves `lines` and then a cheap valid request on one worker (so the
+/// responses come back in order) and returns the parsed responses.
+std::vector<json::Value> serve_then_probe(std::vector<std::string> lines) {
+  lines.push_back(request_line("probe", "{\"placer\":\"greedy\"}"));
+  ServerOptions options;
+  options.workers = 1;
+  CompileServer server(options);
+  std::size_t cursor = 0;
+  std::vector<std::string> output;
+  server.serve(
+      [&](std::string& line) {
+        if (cursor >= lines.size()) return false;
+        line = lines[cursor++];
+        return true;
+      },
+      [&](const std::string& line) { output.push_back(line); });
+  std::vector<json::Value> responses;
+  for (const std::string& line : output) {
+    responses.push_back(json::Value::parse(line));
+  }
+  return responses;
+}
+
+/// Every line but the probe got an error response containing
+/// `expected`; the probe was then served.
+void expect_errors_then_served(const std::vector<json::Value>& responses,
+                               std::size_t errors,
+                               const std::string& expected) {
+  ASSERT_EQ(responses.size(), errors + 1);
+  for (std::size_t i = 0; i < errors; ++i) {
+    EXPECT_FALSE(responses[i].find("ok")->as_bool()) << i;
+    EXPECT_NE(responses[i].find("error")->as_string().find(expected),
+              std::string::npos)
+        << responses[i].find("error")->as_string();
+  }
+  EXPECT_EQ(responses.back().find("id")->as_string(), "probe");
+  EXPECT_TRUE(responses.back().find("ok")->as_bool());
+}
+
+TEST(ServerHardeningTest, CoolingRateOneIsAnErrorNotAHang) {
+  expect_errors_then_served(
+      serve_then_probe({request_line("a", "{\"annealing\":{\"alpha\":1}}")}),
+      1, "cooling_rate");
+}
+
+TEST(ServerHardeningTest, NegativeMinTemperatureIsAnErrorNotAHang) {
+  expect_errors_then_served(
+      serve_then_probe(
+          {request_line("m", "{\"annealing\":{\"min_temperature\":-1}}")}),
+      1, "min_temperature");
+}
+
+TEST(ServerHardeningTest, NegativePortfolioIterationsNameTheField) {
+  // Once answered with libstdc++'s "vector::_M_default_append".
+  expect_errors_then_served(
+      serve_then_probe({request_line(
+          "p", "{\"placer\":\"portfolio\","
+               "\"annealing\":{\"iterations_per_module\":-1}}")}),
+      1, "iterations_per_module");
+}
+
+TEST(ServerHardeningTest, OutOfRangeCanvasIsAnError) {
+  expect_errors_then_served(
+      serve_then_probe({request_line("c", "{\"canvas\":[3.7e10,2]}")}), 1,
+      "canvas must be an integer in int range");
+}
+
+TEST(ServerHardeningTest, NegativeCountsAreErrors) {
+  expect_errors_then_served(
+      serve_then_probe({request_line("f", "{\"feedback_rounds\":-1}"),
+                        request_line("r", "{\"recovery_max_cycles\":-1}")}),
+      2, ">= 0");
+}
+
+TEST(ServerHardeningTest, DeeplyNestedLineIsAnErrorNotACrash) {
+  // 200k open brackets once overflowed the recursive parser's stack.
+  expect_errors_then_served(
+      serve_then_probe({std::string(200000, '[')}), 1, "nesting deeper");
+}
+
+TEST(JsonTest, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(json::Value::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::Value::parse(nested(json::kMaxDepth + 1)),
+               json::JsonError);
+  EXPECT_THROW(json::Value::parse("{\"a\":" + nested(json::kMaxDepth) + "}"),
+               json::JsonError);
+}
+
 // --- options wire round-trip -----------------------------------------
 
 TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
@@ -436,7 +630,6 @@ TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
   options.placer_context.defects = {Point{3, 4}, Point{5, 6}};
   options.placer_context.weights.gamma = 0.02;
   options.placer_context.weights.beta = 0.5;
-  options.placer_context.engine = AnnealingEngine::kCopy;
   options.placer_context.annealing.initial_temperature = 1000.0;
   options.placer_context.annealing.cooling_rate = 0.8;
   options.placer_context.annealing.iterations_per_module = 60;
@@ -458,7 +651,6 @@ TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
   EXPECT_EQ(options_fingerprint(parsed), options_fingerprint(options));
   EXPECT_EQ(parsed.seed, options.seed);
   EXPECT_EQ(parsed.placer, options.placer);
-  EXPECT_EQ(parsed.placer_context.engine, options.placer_context.engine);
   EXPECT_EQ(parsed.placer_context.defects.size(), 2u);
   EXPECT_EQ(parsed.binding_policy, options.binding_policy);
   ASSERT_EQ(parsed.fault_plan.faults.size(), 2u);
