@@ -7,6 +7,7 @@
 #include "bench_common.h"
 #include "core/fti.h"
 #include "core/reconfig.h"
+#include "core/two_stage_placer.h"
 #include "sim/recovery.h"
 #include "util/table.h"
 
@@ -15,23 +16,27 @@ using namespace dmfb;
 int main() {
   bench::banner("Fig. 8 — enhanced (two-stage) fault-aware placement, beta=30");
 
-  const auto synth = bench::synthesized_pcr();
-  const TwoStageOptions options = bench::paper_two_stage_options(30.0);
-  const auto outcome = place_two_stage(synth.schedule, options);
+  // The "two-stage" backend's stages, run one at a time so both report:
+  // area-only "sa", then LTSA at beta = 30 on the backend's stage-2 seed.
+  const Schedule schedule = bench::pcr_schedule();
+  const PlacerContext context = bench::paper_context();
+  const PlacementOutcome stage1 = make_placer("sa")->place(schedule, context);
+  const PlacementOutcome stage2 = anneal_ltsa(stage1.placement, context, 30.0,
+                                              ltsa_seed(context.seed));
 
-  const FtiResult fti1 = evaluate_fti(outcome.stage1.placement);
-  const FtiResult fti2 = evaluate_fti(outcome.stage2.placement);
+  const FtiResult fti1 = evaluate_fti(stage1.placement);
+  const FtiResult fti2 = evaluate_fti(stage2.placement);
 
   TextTable table("Two-stage placement (alpha=1, beta=30)");
   table.set_header({"Stage", "Cells", "Area (mm^2)", "FTI", "Paper"});
   table.add_row({"1: area-only SA",
-                 std::to_string(outcome.stage1.cost.area_cells),
-                 format_mm2(outcome.stage1.cost.area_mm2()),
+                 std::to_string(stage1.cost.area_cells),
+                 format_mm2(stage1.cost.area_mm2()),
                  format_double(fti1.fti(), 4),
                  "63 cells / 141.75 mm^2 / FTI 0.1270"});
   table.add_row({"2: LTSA refine",
-                 std::to_string(outcome.stage2.cost.area_cells),
-                 format_mm2(outcome.stage2.cost.area_mm2()),
+                 std::to_string(stage2.cost.area_cells),
+                 format_mm2(stage2.cost.area_mm2()),
                  format_double(fti2.fti(), 4),
                  "77 cells / 173.25 mm^2 / FTI 0.8052"});
   table.print(std::cout);
@@ -41,25 +46,25 @@ int main() {
           ? 100.0 * (fti2.fti() - fti1.fti()) / fti1.fti()
           : 0.0;
   const double area_increase =
-      100.0 * (static_cast<double>(outcome.stage2.cost.area_cells) /
-                   outcome.stage1.cost.area_cells -
+      100.0 * (static_cast<double>(stage2.cost.area_cells) /
+                   stage1.cost.area_cells -
                1.0);
   std::cout << "\nFTI increase: " << format_double(fti_gain, 1)
             << "% (paper: 534%)\n"
             << "area increase: " << format_double(area_increase, 1)
             << "% (paper: 22.2%)\n"
-            << "stage-1 wall: " << format_double(outcome.stage1.wall_seconds, 2)
+            << "stage-1 wall: " << format_double(stage1.wall_seconds, 2)
             << " s, stage-2 wall: "
-            << format_double(outcome.stage2.wall_seconds, 2)
+            << format_double(stage2.wall_seconds, 2)
             << " s (paper: 20 min total on a 1.0 GHz Pentium-III)\n\n"
             << "Enhanced placement by time slice (Fig. 8 analogue):\n"
-            << outcome.stage2.placement.render();
+            << stage2.placement.render();
 
   // Cross-check the FTI against the real reconfiguration engine.
-  const Rect array = outcome.stage2.placement.bounding_box();
+  const Rect array = stage2.placement.bounding_box();
   const Reconfigurator reconfig;
   const auto campaign =
-      exhaustive_fault_campaign(outcome.stage2.placement, array, reconfig);
+      exhaustive_fault_campaign(stage2.placement, array, reconfig);
   std::cout << "exhaustive single-fault campaign: "
             << campaign.survivable_cells << "/" << campaign.total_cells
             << " cells survivable ("
@@ -70,10 +75,10 @@ int main() {
             << '\n';
 
   const auto svg_dir =
-      bench::write_placement_svgs(outcome.stage2.placement, "fig8");
+      bench::write_placement_svgs(stage2.placement, "fig8");
   std::cout << "wrote " << (svg_dir / "fig8_slice*.svg").string() << "\n";
 
-  const bool sane = outcome.stage2.placement.feasible() &&
+  const bool sane = stage2.placement.feasible() &&
                     fti2.fti() > fti1.fti() &&
                     campaign.survivable_cells == fti2.covered_cells;
   std::cout << "shape check (FTI improved, campaign == FTI): "

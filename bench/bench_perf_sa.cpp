@@ -75,7 +75,7 @@ bool same_placement(const Placement& a, const Placement& b) {
 /// are interleaved and each side reports its best proposals/sec of
 /// `rounds` runs, so CPU frequency drift biases no side.
 bool compare_engines(const char* label, const Placement& initial,
-                     const SaPlacerOptions& options, int rounds) {
+                     const PlacerContext& options, int rounds) {
   PlacementOutcome copy = anneal_copy(initial, options);
   PlacementOutcome delta = anneal_from(initial, options);
   for (int round = 1; round < rounds; ++round) {
@@ -135,25 +135,25 @@ bool run_comparison(bool smoke) {
   const int rounds = smoke ? 1 : 3;
 
   // Fig. 7: area-only annealing at the paper's parameters.
-  SaPlacerOptions stage1 = bench::paper_sa_options();
+  PlacerContext stage1 = bench::paper_context();
   if (smoke) {
-    stage1.schedule.initial_temperature = 1000.0;
-    stage1.schedule.cooling_rate = 0.8;
-    stage1.schedule.iterations_per_module = 25;
+    stage1.annealing.initial_temperature = 1000.0;
+    stage1.annealing.cooling_rate = 0.8;
+    stage1.annealing.iterations_per_module = 25;
   }
   bool ok = compare_engines(smoke ? "fig7 (smoke)" : "fig7", initial, stage1,
                             rounds);
 
   // Two-stage LTSA: beta > 0 exercises the incremental FTI coverage
   // state. Single displacements only, as in §6.2.
-  SaPlacerOptions ltsa = stage1;
-  ltsa.schedule = AnnealingSchedule{/*initial_temperature=*/100.0,
+  PlacerContext ltsa = stage1;
+  ltsa.annealing = AnnealingSchedule{/*initial_temperature=*/100.0,
                                     /*cooling_rate=*/0.9,
                                     /*iterations_per_module=*/400,
                                     /*min_temperature=*/0.05};
   if (smoke) {
-    ltsa.schedule.cooling_rate = 0.8;
-    ltsa.schedule.iterations_per_module = 25;
+    ltsa.annealing.cooling_rate = 0.8;
+    ltsa.annealing.iterations_per_module = 25;
   }
   ltsa.weights.beta = 30.0;
   ltsa.moves.single_move_probability = 1.0;
@@ -175,10 +175,10 @@ bool sweep_point(const Schedule& schedule, int canvas, double beta,
                  const AnnealingSchedule& annealing) {
   const int modules = static_cast<int>(schedule.modules().size());
 
-  SaPlacerOptions options;
+  PlacerContext options;
   options.canvas_width = canvas;
   options.canvas_height = canvas;
-  options.schedule = annealing;
+  options.annealing = annealing;
   options.weights.beta = beta;
   options.seed = bench::kBenchSeed + static_cast<std::uint64_t>(modules);
 
@@ -302,11 +302,12 @@ Schedule race_schedule(bool smoke, int* canvas_out) {
 /// scheduling noise, which otherwise dominates the millisecond-scale
 /// smoke race.
 PlacementOutcome fastest_of(int rounds, const Placement& initial,
-                            const SaPlacerOptions& options,
+                            PlacerContext options,
                             const PortfolioOptions& portfolio) {
-  PlacementOutcome fastest = anneal_portfolio(initial, options, portfolio);
+  options.portfolio = portfolio;
+  PlacementOutcome fastest = anneal_portfolio(initial, options);
   for (int round = 1; round < rounds; ++round) {
-    PlacementOutcome again = anneal_portfolio(initial, options, portfolio);
+    PlacementOutcome again = anneal_portfolio(initial, options);
     if (again.stats.seconds_to_best < fastest.stats.seconds_to_best) {
       fastest = std::move(again);
     }
@@ -319,7 +320,7 @@ PlacementOutcome fastest_of(int rounds, const Placement& initial,
 /// Returns whether the row beat the baseline's time-to-target (used as
 /// the CI gate at N >= 4).
 bool race_portfolio(int modules, const Placement& initial,
-                    const SaPlacerOptions& options,
+                    const PlacerContext& options,
                     const PortfolioOptions& portfolio, int rounds,
                     double target, double baseline_seconds) {
   PortfolioOptions race = portfolio;
@@ -368,15 +369,15 @@ bool run_portfolio_race(bool smoke) {
   std::cout << modules << " modules on a " << canvas << "x" << canvas
             << " canvas\n";
 
-  SaPlacerOptions options;
+  PlacerContext options;
   options.canvas_width = canvas;
   options.canvas_height = canvas;
   // ~100 temperature steps full (~30 smoke): enough cooling for the
   // chains to feasibilize and settle from the scattered start.
-  options.schedule.initial_temperature = smoke ? 50.0 : 100.0;
-  options.schedule.cooling_rate = smoke ? 0.9 : 0.95;
-  options.schedule.iterations_per_module = smoke ? 4 : 8;
-  options.schedule.min_temperature = smoke ? 2.0 : 0.5;
+  options.annealing.initial_temperature = smoke ? 50.0 : 100.0;
+  options.annealing.cooling_rate = smoke ? 0.9 : 0.95;
+  options.annealing.iterations_per_module = smoke ? 4 : 8;
+  options.annealing.min_temperature = smoke ? 2.0 : 0.5;
   options.seed = bench::kBenchSeed + static_cast<std::uint64_t>(modules);
 
   Placement initial(schedule, canvas, canvas);
@@ -479,9 +480,8 @@ void BM_AreaOnlyPlacementEndToEnd(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     context.seed = seed++;
-    const auto outcome = copy
-                             ? anneal_copy(initial, sa_options_from(context))
-                             : placer->place(pcr_schedule(), context);
+    const auto outcome = copy ? anneal_copy(initial, context)
+                              : placer->place(pcr_schedule(), context);
     benchmark::DoNotOptimize(outcome.cost.area_cells);
   }
   state.counters["Na"] = static_cast<double>(state.range(0));

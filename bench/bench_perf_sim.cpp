@@ -55,10 +55,10 @@ struct Scenario {
 
 Scenario make_pcr(int chip_size, bool headline, const std::string& name) {
   const AssayCase assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 16, 16);
-  return Scenario{name, assay.graph, std::move(synth.schedule),
+  Schedule schedule = list_schedule(assay.graph, assay.binding,
+                                    assay.scheduler_options);
+  Placement placement = place_greedy(schedule, 16, 16);
+  return Scenario{name, assay.graph, std::move(schedule),
                   std::move(placement), chip_size, headline};
 }
 
@@ -70,10 +70,10 @@ Scenario make_random200(int chip_size, bool headline,
   params.max_layer_width = 6;
   params.max_concurrent_modules = 6;
   const AssayCase assay = random_assay(params, lib, bench::kBenchSeed);
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 32, 32);
-  return Scenario{name, assay.graph, std::move(synth.schedule),
+  Schedule schedule = list_schedule(assay.graph, assay.binding,
+                                    assay.scheduler_options);
+  Placement placement = place_greedy(schedule, 32, 32);
+  return Scenario{name, assay.graph, std::move(schedule),
                   std::move(placement), chip_size, headline};
 }
 
@@ -170,8 +170,10 @@ bool run_comparison(bool smoke) {
     for (const bool record : {true, false}) {
       SimOptions options;
       options.record_events = record;
-      event_result = Simulator(options).run(scenario.graph, scenario.schedule,
-                                            scenario.placement, chip);
+      event_result = EventSimEngine(options)
+                         .run(scenario.graph, scenario.schedule,
+                              scenario.placement, chip)
+                         .result;
       const auto reference_result =
           run_reference(scenario.graph, scenario.schedule,
                         scenario.placement, chip, options);

@@ -328,8 +328,7 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
   const int chip_height = best.chip_height;
 
   // Simulate: droplet-level execution on a virtual chip. The event
-  // engine is driven directly (not through the Simulator adapter) so its
-  // telemetry and stall diagnosis reach the stage observer.
+  // engine's telemetry and stall diagnosis reach the stage observer.
   if (options_.simulate && !options_.fault_plan.faults.empty()) {
     // Online fault recovery: drive the event engine through the
     // OnlineRecoveryEngine so planned faults fire mid-run and detected

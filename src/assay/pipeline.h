@@ -48,7 +48,6 @@
 #include "sim/route_planner.h"
 #include "sim/simulator.h"
 #include "util/cost_statistic.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
@@ -255,15 +254,11 @@ struct PipelineResult {
   // Architectural-level synthesis.
   Binding binding;
   Schedule schedule;
-  /// Makespan of `schedule`, which treats configuration changeovers as
-  /// instantaneous. Deprecated as a chip-time estimate: droplet transport
-  /// at changeovers is real time — read `transport_makespan_s` (or
-  /// `transported_schedule.makespan_s()`) for the makespan the chip
-  /// actually needs; `schedule.makespan_s()` still gives the
-  /// changeover-free value when that is what you mean.
-  DMFB_DEPRECATED(
-      "read transport_makespan_s (or schedule.makespan_s() for the "
-      "changeover-free value)")
+  /// Makespan of `schedule` (== schedule.makespan_s()), which treats
+  /// configuration changeovers as instantaneous — not a chip-time
+  /// estimate: droplet transport at changeovers is real time, so read
+  /// `transport_makespan_s` for the makespan the chip actually needs. The
+  /// compile cache persists this field.
   double makespan_s = 0.0;
   long long peak_concurrent_cells = 0;
 

@@ -6,28 +6,6 @@
 
 namespace dmfb {
 
-SynthesisResult synthesize(const SequencingGraph& graph,
-                           const ModuleLibrary& library,
-                           const SynthesisOptions& options) {
-  SynthesisResult result;
-  result.binding = bind_operations(graph, library, options.binding_policy);
-  result.schedule = list_schedule(graph, result.binding, options.scheduler);
-  result.makespan_s = result.schedule.makespan_s();
-  result.peak_concurrent_cells = result.schedule.peak_concurrent_cells();
-  return result;
-}
-
-SynthesisResult synthesize_with_binding(const SequencingGraph& graph,
-                                        const Binding& binding,
-                                        const SchedulerOptions& options) {
-  SynthesisResult result;
-  result.binding = binding;
-  result.schedule = list_schedule(graph, binding, options);
-  result.makespan_s = result.schedule.makespan_s();
-  result.peak_concurrent_cells = result.schedule.peak_concurrent_cells();
-  return result;
-}
-
 std::string render_gantt(const Schedule& schedule, double seconds_per_column) {
   std::ostringstream os;
   const double makespan = schedule.makespan_s();

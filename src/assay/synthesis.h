@@ -1,53 +1,14 @@
-// synthesis.h — architectural-level synthesis driver: sequencing graph in,
-// (binding, schedule) out. This is the step the paper assumes has already
-// run before placement ("placement follows architectural-level synthesis
-// in the proposed synthesis flow", §4).
-//
-// DEPRECATED: these free functions predate the `SynthesisPipeline` facade
-// (assay/pipeline.h), which runs the same synthesis plus placement and
-// routing behind one options struct. They remain as thin wrappers for
-// existing callers.
+// synthesis.h — schedule rendering for the architectural-level synthesis
+// step (binding + scheduling, assay/binder.h and assay/scheduler.h) that
+// the paper assumes has already run before placement ("placement follows
+// architectural-level synthesis in the proposed synthesis flow", §4).
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "util/deprecation.h"
-
-#include "assay/binder.h"
 #include "assay/schedule.h"
-#include "assay/scheduler.h"
-#include "assay/sequencing_graph.h"
-#include "biochip/module_library.h"
 
 namespace dmfb {
-
-/// Result of architectural-level synthesis.
-struct SynthesisResult {
-  Binding binding;
-  Schedule schedule;
-  double makespan_s = 0.0;
-  long long peak_concurrent_cells = 0;
-};
-
-/// Options for the full synthesis step.
-struct SynthesisOptions {
-  BindingPolicy binding_policy = BindingPolicy::kRoundRobin;
-  SchedulerOptions scheduler;
-};
-
-/// Binds and schedules `graph` against `library`. Throws on invalid input
-/// (no module of a required kind, unsatisfiable constraints).
-DMFB_DEPRECATED("use SynthesisPipeline::run(graph, library)")
-SynthesisResult synthesize(const SequencingGraph& graph,
-                           const ModuleLibrary& library,
-                           const SynthesisOptions& options = {});
-
-/// Variant that uses a caller-provided binding (e.g., the paper's Table 1).
-DMFB_DEPRECATED("use SynthesisPipeline::run(graph, binding)")
-SynthesisResult synthesize_with_binding(const SequencingGraph& graph,
-                                        const Binding& binding,
-                                        const SchedulerOptions& options = {});
 
 /// Renders a schedule as an ASCII Gantt chart (one row per module, '#'
 /// during the module's active interval) — the shape of the paper's Fig. 6.

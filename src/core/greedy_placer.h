@@ -10,15 +10,15 @@
 
 #include "assay/schedule.h"
 #include "core/placement.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
 /// Places `schedule`'s modules greedily on a canvas. Positions whose
 /// footprint would cover a cell of `defects` are skipped (defect-aware
 /// constructive placement over a manufacturing defect map). Throws
-/// std::runtime_error when some module cannot be placed.
-DMFB_DEPRECATED("use make_placer(\"greedy\")->place(schedule, context)")
+/// std::runtime_error when some module cannot be placed. The "greedy"
+/// backend (core/placer.h) adapts it, and every annealing backend starts
+/// from it.
 Placement place_greedy(const Schedule& schedule, int canvas_width,
                        int canvas_height,
                        const std::vector<Point>& defects = {});

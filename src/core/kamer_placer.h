@@ -13,7 +13,6 @@
 #include "assay/schedule.h"
 #include "core/placement.h"
 #include "core/reconfig.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
@@ -30,8 +29,9 @@ struct KamerResult {
 /// goes into a maximal empty rectangle — w.r.t. the modules it overlaps in
 /// time — chosen by `policy` (kBestFit mirrors KAMER's default), anchored
 /// at the rectangle's bottom-left. Orientation is tried canonical first,
-/// then rotated when `allow_rotation`.
-DMFB_DEPRECATED("use make_placer(\"kamer\")->place(schedule, context)")
+/// then rotated when `allow_rotation`. The "kamer" backend (core/placer.h)
+/// adapts it; call it directly for `failure_reason` and `modules_placed`,
+/// which PlacementOutcome does not carry.
 KamerResult place_kamer(const Schedule& schedule, int array_width,
                         int array_height,
                         RelocationPolicy policy = RelocationPolicy::kBestFit,

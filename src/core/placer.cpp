@@ -1,17 +1,13 @@
 #include "core/placer.h"
 
-#include <algorithm>
 #include <chrono>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 #include "core/greedy_placer.h"
 #include "core/kamer_placer.h"
 #include "core/portfolio_placer.h"
 #include "core/two_stage_placer.h"
-#include "util/rng.h"
 
 namespace dmfb {
 namespace {
@@ -40,13 +36,51 @@ void reject_defects(const PlacerContext& context, const char* name) {
   }
 }
 
+/// The context's warm-start poses transferred onto `schedule`'s
+/// placement, or nothing when they do not fit (module counts differ, or
+/// the transferred poses are infeasible or touch a defect) — the caller
+/// then anneals from the greedy initial alone.
+std::optional<Placement> warm_start(const Schedule& schedule,
+                                    const PlacerContext& context) {
+  if (!context.initial_placement) return std::nullopt;
+  const Placement& warm = *context.initial_placement;
+  Placement seeded(schedule, context.canvas_width, context.canvas_height);
+  if (warm.module_count() != seeded.module_count()) return std::nullopt;
+  for (int i = 0; i < seeded.module_count(); ++i) {
+    seeded.set_position(i, warm.module(i).anchor, warm.module(i).rotated);
+  }
+  if (!seeded.feasible()) return std::nullopt;
+  if (!context.defects.empty()) {
+    CostEvaluator evaluator(context.weights, context.fti_options);
+    evaluator.set_defects(context.defects);
+    if (evaluator.defect_usage(seeded) != 0) return std::nullopt;
+  }
+  return seeded;
+}
+
+Placement greedy_initial(const Schedule& schedule,
+                         const PlacerContext& context) {
+  return place_greedy(schedule, context.canvas_width, context.canvas_height,
+                      context.defects);
+}
+
+/// The "sa" backend: anneals from the warm start when it fits, else from
+/// the greedy constructive initial.
+PlacementOutcome anneal_schedule(const Schedule& schedule,
+                                 const PlacerContext& context) {
+  if (const auto warm = warm_start(schedule, context)) {
+    return anneal_from(*warm, context);
+  }
+  return anneal_from(greedy_initial(schedule, context), context);
+}
+
 class SaPlacer final : public Placer {
  public:
   std::string name() const override { return "sa"; }
 
   PlacementOutcome place(const Schedule& schedule,
                          const PlacerContext& context) const override {
-    return place_simulated_annealing(schedule, sa_options_from(context));
+    return anneal_schedule(schedule, context);
   }
 };
 
@@ -58,8 +92,7 @@ class GreedyPlacer final : public Placer {
                          const PlacerContext& context) const override {
     const auto start = Clock::now();
     PlacementOutcome outcome;
-    outcome.placement = place_greedy(schedule, context.canvas_width,
-                                     context.canvas_height, context.defects);
+    outcome.placement = greedy_initial(schedule, context);
     outcome.cost = evaluate_outcome_cost(outcome.placement, context);
     outcome.wall_seconds = seconds_since(start);
     return outcome;
@@ -113,16 +146,13 @@ class TwoStagePlacer final : public Placer {
 
   PlacementOutcome place(const Schedule& schedule,
                          const PlacerContext& context) const override {
-    TwoStageOptions options;
-    options.stage1 = sa_options_from(context);
-    options.beta = context.two_stage_beta;
-    options.ltsa = context.ltsa;
-    // Both stages are reproducible from the one context seed; the stage-2
-    // stream is split off so it does not replay stage 1's.
-    options.stage2_seed = SplitMix64(context.seed ^ 0x5a5a5a5aULL).next();
-    const TwoStageOutcome outcome = place_two_stage(schedule, options);
-    PlacementOutcome result = outcome.stage2;
-    result.wall_seconds += outcome.stage1.wall_seconds;
+    PlacerContext stage1 = context;
+    stage1.weights.beta = 0.0;  // fault-oblivious by definition
+    const PlacementOutcome first = anneal_schedule(schedule, stage1);
+    PlacementOutcome result =
+        anneal_ltsa(first.placement, context, context.two_stage_beta,
+                    ltsa_seed(context.seed));
+    result.wall_seconds += first.wall_seconds;
     return result;
   }
 };
@@ -131,85 +161,27 @@ class PortfolioPlacer final : public Placer {
  public:
   std::string name() const override { return "portfolio"; }
 
+  /// Every replica starts from the greedy initial except replica 0,
+  /// which takes the warm start when it fits; replicas 1..N-1 keep their
+  /// fresh split-seeded chains.
   PlacementOutcome place(const Schedule& schedule,
                          const PlacerContext& context) const override {
-    return place_portfolio(schedule, sa_options_from(context),
-                           context.portfolio);
+    const Placement initial = greedy_initial(schedule, context);
+    const auto warm = warm_start(schedule, context);
+    return anneal_portfolio(initial, context, warm ? &*warm : nullptr);
   }
 };
 
 }  // namespace
 
-const char* to_string(PlacerKind kind) {
-  switch (kind) {
-    case PlacerKind::kSa:
-      return "sa";
-    case PlacerKind::kGreedy:
-      return "greedy";
-    case PlacerKind::kKamer:
-      return "kamer";
-    case PlacerKind::kOptimal:
-      return "optimal";
-    case PlacerKind::kTwoStage:
-      return "two-stage";
-    case PlacerKind::kPortfolio:
-      return "portfolio";
-  }
-  return "?";
-}
-
-template <>
-PlacerKind from_string<PlacerKind>(std::string_view text) {
-  if (text == "sa") return PlacerKind::kSa;
-  if (text == "greedy") return PlacerKind::kGreedy;
-  if (text == "kamer") return PlacerKind::kKamer;
-  if (text == "optimal") return PlacerKind::kOptimal;
-  if (text == "two-stage") return PlacerKind::kTwoStage;
-  if (text == "portfolio") return PlacerKind::kPortfolio;
-  throw std::invalid_argument(
-      "unknown PlacerKind \"" + std::string(text) +
-      "\" (expected one of: sa, greedy, kamer, optimal, two-stage, "
-      "portfolio)");
-}
-
-std::ostream& operator<<(std::ostream& os, PlacerKind kind) {
-  return os << to_string(kind);
-}
-
-std::istream& operator>>(std::istream& is, PlacerKind& kind) {
-  std::string token;
-  is >> token;
-  kind = from_string<PlacerKind>(token);
-  return is;
-}
-
-SaPlacerOptions sa_options_from(const PlacerContext& context) {
-  SaPlacerOptions options;
-  options.canvas_width = context.canvas_width;
-  options.canvas_height = context.canvas_height;
-  options.schedule = context.annealing;
-  options.moves = context.moves;
-  options.weights = context.weights;
-  options.fti_options = context.fti_options;
-  options.defects = context.defects;
-  options.route_links = context.route_links;
-  options.seed = context.seed;
-  options.initial = context.initial_placement;
-  return options;
-}
-
 PlacerRegistry::PlacerRegistry() {
-  register_placer(to_string(PlacerKind::kSa),
-                  [] { return std::make_unique<SaPlacer>(); });
-  register_placer(to_string(PlacerKind::kGreedy),
-                  [] { return std::make_unique<GreedyPlacer>(); });
-  register_placer(to_string(PlacerKind::kKamer),
-                  [] { return std::make_unique<KamerPlacer>(); });
-  register_placer(to_string(PlacerKind::kOptimal),
-                  [] { return std::make_unique<ExactPlacer>(); });
-  register_placer(to_string(PlacerKind::kTwoStage),
+  register_placer("sa", [] { return std::make_unique<SaPlacer>(); });
+  register_placer("greedy", [] { return std::make_unique<GreedyPlacer>(); });
+  register_placer("kamer", [] { return std::make_unique<KamerPlacer>(); });
+  register_placer("optimal", [] { return std::make_unique<ExactPlacer>(); });
+  register_placer("two-stage",
                   [] { return std::make_unique<TwoStagePlacer>(); });
-  register_placer(to_string(PlacerKind::kPortfolio),
+  register_placer("portfolio",
                   [] { return std::make_unique<PortfolioPlacer>(); });
 }
 
@@ -220,10 +192,6 @@ PlacerRegistry& PlacerRegistry::global() {
 
 std::unique_ptr<Placer> make_placer(const std::string& name) {
   return PlacerRegistry::global().make(name);
-}
-
-std::unique_ptr<Placer> make_placer(PlacerKind kind) {
-  return make_placer(std::string(to_string(kind)));
 }
 
 std::vector<std::string> registered_placers() {

@@ -3,13 +3,12 @@
 //
 // The paper's flow treats placement as one pluggable stage: architectural-
 // level synthesis hands a Schedule to *some* placer, which returns module
-// locations. The repo grew six placers (greedy bottom-left, KAMER-style
+// locations. Six backends implement it — greedy bottom-left, KAMER-style
 // online, simulated annealing, the portfolio of exchange-coupled annealing
-// replicas, exact branch-and-bound, and the two-stage fault-aware flow),
-// each with its own free function and option struct;
-// this header unifies them behind one abstract `Placer` so drivers,
-// benches and the `SynthesisPipeline` facade (assay/pipeline.h) can select
-// a backend by name:
+// replicas, exact branch-and-bound, and the two-stage fault-aware flow —
+// behind one abstract `Placer` configured by one `PlacerContext`, so
+// drivers, benches and the `SynthesisPipeline` facade (assay/pipeline.h)
+// select a backend by name:
 //
 //   auto placer = make_placer("two-stage");
 //   PlacementOutcome outcome = placer->place(schedule, context);
@@ -20,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,33 +31,14 @@
 #include "core/portfolio_placer.h"
 #include "core/reconfig.h"
 #include "core/sa_placer.h"
-#include "util/enum_text.h"
 #include "util/registry.h"
 
 namespace dmfb {
 
-/// The built-in placement backends, in registry-name order.
-enum class PlacerKind {
-  kSa,        ///< simulated annealing (the paper's method, §4)
-  kGreedy,    ///< greedy bottom-left baseline (§6.1)
-  kKamer,     ///< KAMER-style online best-fit over maximal empty rectangles
-  kOptimal,   ///< exact branch-and-bound (small instances only)
-  kTwoStage,  ///< fault-aware two-stage annealing (§6.2)
-  kPortfolio, ///< N exchange-coupled SA replicas raced over the thread pool
-};
-
-/// Registry name of a built-in placer kind ("sa", "greedy", "kamer",
-/// "optimal", "two-stage", "portfolio").
-const char* to_string(PlacerKind kind);
-template <>
-PlacerKind from_string<PlacerKind>(std::string_view text);
-std::ostream& operator<<(std::ostream& os, PlacerKind kind);
-std::istream& operator>>(std::istream& is, PlacerKind& kind);
-
-/// Everything a placement backend may need, superseding the six per-placer
-/// option structs. Backends read the fields relevant to them and ignore the
-/// rest; `seed` drives every stochastic backend so one number reproduces a
-/// run (see PipelineOptions::seed).
+/// Everything a placement backend may need — the one placement config.
+/// Backends read the fields relevant to them and ignore the rest; `seed`
+/// drives every stochastic backend so one number reproduces a run (see
+/// PipelineOptions::seed).
 struct PlacerContext {
   int canvas_width = 24;   ///< core-area bound (Fig. 4(a))
   int canvas_height = 24;
@@ -71,10 +50,13 @@ struct PlacerContext {
   /// fills these from routing::extract_links and, on feedback rounds,
   /// re-weights them with measured route costs. Ignored at gamma = 0.
   std::vector<RouteLink> route_links;
-  /// Optional warm-start placement (module poses copied onto the new
-  /// schedule when compatible; see SaPlacerOptions::initial). Honoured by
-  /// the annealing backends ("sa" and stage 1 of "two-stage"); the others
-  /// ignore it.
+  /// Optional warm start (the synthesis service's placement memo): module
+  /// poses are copied index-by-index onto the new schedule's placement and
+  /// annealed from there instead of the greedy constructive initial. Used
+  /// only when compatible — same module count and the seeded placement is
+  /// feasible and defect-free — otherwise silently falls back to greedy.
+  /// Honoured by "sa", stage 1 of "two-stage" and replica 0 of
+  /// "portfolio"; the others ignore it.
   std::shared_ptr<const Placement> initial_placement;
   std::uint64_t seed = 0xDA7E2005ULL;
 
@@ -89,7 +71,8 @@ struct PlacerContext {
   // replicas anneal with the fields above ("sa" options).
   PortfolioOptions portfolio;
 
-  // "two-stage" refinement (§6.2).
+  // "two-stage" refinement (§6.2, core/two_stage_placer.h). Stage 2
+  // draws from a stream split off `seed`, so it does not replay stage 1's.
   double two_stage_beta = 30.0;  ///< fault-tolerance weight of stage 2
   AnnealingSchedule ltsa{/*initial_temperature=*/100.0,
                          /*cooling_rate=*/0.9,
@@ -104,10 +87,6 @@ struct PlacerContext {
   RelocationPolicy kamer_policy = RelocationPolicy::kBestFit;
   bool allow_rotation = true;
 };
-
-/// SaPlacerOptions equivalent to `context` (used by the "sa" adapter and by
-/// callers migrating off the legacy struct).
-SaPlacerOptions sa_options_from(const PlacerContext& context);
 
 /// Abstract placement backend: a Schedule in, module locations out.
 ///
@@ -168,7 +147,6 @@ class PlacerRegistry {
 
 /// Convenience forwarders to PlacerRegistry::global().
 std::unique_ptr<Placer> make_placer(const std::string& name);
-std::unique_ptr<Placer> make_placer(PlacerKind kind);
 std::vector<std::string> registered_placers();
 
 }  // namespace dmfb

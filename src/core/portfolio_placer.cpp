@@ -9,8 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/greedy_placer.h"
 #include "core/incremental_cost.h"
+#include "core/placer.h"
 #include "util/parallel.h"
 
 namespace dmfb {
@@ -152,12 +152,12 @@ int resolved_replicas(const PortfolioOptions& portfolio) {
 }
 
 PlacementOutcome anneal_portfolio(const Placement& initial,
-                                  const SaPlacerOptions& options,
-                                  const PortfolioOptions& portfolio,
+                                  const PlacerContext& context,
                                   const Placement* replica0_initial) {
   const auto start_time = Clock::now();
+  const PortfolioOptions& portfolio = context.portfolio;
 
-  validate_schedule(options.schedule);
+  validate_schedule(context.annealing);
   if (!(portfolio.ladder_ratio > 0.0)) {
     throw std::invalid_argument(
         "portfolio placer: ladder_ratio must be positive");
@@ -165,25 +165,25 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
   const int replica_count = resolved_replicas(portfolio);
   const int exchange_period = std::max(1, portfolio.exchange_period);
 
-  CostEvaluator evaluator(options.weights, options.fti_options);
-  evaluator.set_defects(options.defects);
-  evaluator.set_route_links(options.route_links);
+  CostEvaluator evaluator(context.weights, context.fti_options);
+  evaluator.set_defects(context.defects);
+  evaluator.set_route_links(context.route_links);
 
   // Total temperature steps, from the BASE schedule: the ladder scales
   // initial and minimum temperature together, so every rung runs this
   // same count and the exchange barriers align exactly.
   int total_steps = 0;
-  for (double t = options.schedule.initial_temperature;
-       t > options.schedule.min_temperature;
-       t *= options.schedule.cooling_rate) {
+  for (double t = context.annealing.initial_temperature;
+       t > context.annealing.min_temperature;
+       t *= context.annealing.cooling_rate) {
     ++total_steps;
   }
 
   const int inner_iterations =
-      options.schedule.iterations_per_module *
+      context.annealing.iterations_per_module *
       std::max(1, initial.module_count());
 
-  Rng master(options.seed);
+  Rng master(context.seed);
   // Replica r's streams come from split_n(r) — order-independent, so the
   // seeds are a pure function of (seed, r) — and the exchange pass draws
   // from split_n(N), outside the replica index range.
@@ -203,11 +203,11 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
     // (consuming its first draw).
     replica->metropolis_rng = replica->move_rng.split();
     const double rung = std::pow(portfolio.ladder_ratio, r);
-    replica->schedule = options.schedule;
+    replica->schedule = context.annealing;
     replica->schedule.initial_temperature *= rung;
     replica->schedule.min_temperature *= rung;
     replica->temperature = replica->schedule.initial_temperature;
-    replica->moves = &options.moves;
+    replica->moves = &context.moves;
     replica->inner_iterations = inner_iterations;
     replica->draws.resize(static_cast<std::size_t>(inner_iterations));
     replica->record_initial();
@@ -342,24 +342,6 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
   outcome.cost = evaluator.evaluate(outcome.placement);
   outcome.wall_seconds = seconds_since(start_time);
   return outcome;
-}
-
-PlacementOutcome place_portfolio(const Schedule& schedule,
-                                 const SaPlacerOptions& options,
-                                 const PortfolioOptions& portfolio) {
-  const Placement initial =
-      place_greedy(schedule, options.canvas_width, options.canvas_height,
-                   options.defects);
-  if (options.initial) {
-    // Warm-start seam: the memoized placement seeds replica 0 only;
-    // replicas 1..N-1 keep their fresh split-seeded chains from the
-    // greedy initial.
-    Placement seeded(schedule, options.canvas_width, options.canvas_height);
-    if (detail::seed_from_warm_start(seeded, *options.initial, options)) {
-      return anneal_portfolio(initial, options, portfolio, &seeded);
-    }
-  }
-  return anneal_portfolio(initial, options, portfolio);
 }
 
 }  // namespace dmfb

@@ -34,7 +34,8 @@
 namespace dmfb {
 
 /// Everything configurable about one portfolio run, over and above the
-/// per-replica annealing options (SaPlacerOptions).
+/// per-replica annealing fields of PlacerContext (core/placer.h), which
+/// carries these as PlacerContext::portfolio.
 struct PortfolioOptions {
   /// Replica count N; 0 = one per hardware thread (min 1). Part of the
   /// reproducibility key: results are a function of (seed, N, K), so the
@@ -60,10 +61,11 @@ struct PortfolioOptions {
 /// host's hardware thread count (min 1) when it is 0.
 int resolved_replicas(const PortfolioOptions& portfolio);
 
-/// Anneals a portfolio of replicas, every one starting from `initial`
-/// (or replica 0 from `replica0_initial` when given — the warm-start
-/// seam: the memoized placement seeds one chain, the fresh split seeds
-/// keep the rest exploring).
+/// Anneals a portfolio of context.portfolio.replicas replicas, every one
+/// starting from `initial` (or replica 0 from `replica0_initial` when
+/// given — the warm-start seam: the memoized placement seeds one chain,
+/// the fresh split seeds keep the rest exploring). The "portfolio"
+/// backend calls it with the greedy constructive initial.
 ///
 /// The returned outcome carries the incumbent best placement.
 /// `outcome.stats` aggregates all replicas; its wall_seconds is the
@@ -75,17 +77,9 @@ int resolved_replicas(const PortfolioOptions& portfolio);
 /// last improved. `outcome.replica_stats[r]` is replica r's own loop
 /// (own wall clock). `outcome.wall_seconds` is the actually elapsed
 /// time of this run, setup included. Throws std::invalid_argument when
-/// options.schedule would never terminate (see validate_schedule).
+/// context.annealing would never terminate (see validate_schedule).
 PlacementOutcome anneal_portfolio(const Placement& initial,
-                                  const SaPlacerOptions& options,
-                                  const PortfolioOptions& portfolio,
+                                  const PlacerContext& context,
                                   const Placement* replica0_initial = nullptr);
-
-/// The "portfolio" registry backend's entry: greedy constructive initial
-/// (honouring options.initial as replica 0's warm start when compatible),
-/// then anneal_portfolio.
-PlacementOutcome place_portfolio(const Schedule& schedule,
-                                 const SaPlacerOptions& options,
-                                 const PortfolioOptions& portfolio = {});
 
 }  // namespace dmfb

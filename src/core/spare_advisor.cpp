@@ -3,25 +3,38 @@
 #include <algorithm>
 
 #include "core/fti.h"
+#include "core/two_stage_placer.h"
 
 namespace dmfb {
+namespace {
+
+/// Base seed of the sweep's stage-2 anneals; each beta xors in its own
+/// salt. Stage 1 draws from options.context.seed.
+constexpr std::uint64_t kStage2Seed = 0x17A2B00CULL;
+
+}  // namespace
 
 SpareAdvice advise_spares(const Schedule& schedule,
                           const SpareAdvisorOptions& options) {
   SpareAdvice advice;
 
+  // Stage 1 does not depend on beta, so every point refines one anneal.
+  PlacerContext stage1 = options.context;
+  stage1.weights.beta = 0.0;
+  const Placement compact =
+      make_placer("sa")->place(schedule, stage1).placement;
+
   for (const double beta : options.betas) {
-    TwoStageOptions two_stage = options.two_stage;
-    two_stage.beta = beta;
     // Vary the stage-2 seed with beta so points are independent samples.
-    two_stage.stage2_seed ^= static_cast<std::uint64_t>(beta * 1021.0);
-    const TwoStageOutcome outcome = place_two_stage(schedule, two_stage);
+    const PlacementOutcome outcome = anneal_ltsa(
+        compact, options.context, beta,
+        kStage2Seed ^ static_cast<std::uint64_t>(beta * 1021.0));
 
     FrontierPoint point;
     point.beta = beta;
-    point.area_cells = outcome.stage2.cost.area_cells;
-    point.fti = evaluate_fti(outcome.stage2.placement).fti();
-    point.placement = outcome.stage2.placement;
+    point.area_cells = outcome.cost.area_cells;
+    point.fti = evaluate_fti(outcome.placement).fti();
+    point.placement = outcome.placement;
     advice.frontier.push_back(std::move(point));
   }
 

@@ -3,8 +3,9 @@
 // with guidelines on the size of the array to be manufactured"; spare
 // cells must be placed so faulty cells can be bypassed).
 //
-// Given a synthesized schedule and a target FTI, the advisor sweeps the
-// fault-tolerance weight of the two-stage placer and reports the smallest
+// Given a synthesized schedule and a target FTI, the advisor anneals the
+// two-stage flow's area-only stage 1 once, refines it (anneal_ltsa) at
+// every fault-tolerance weight of the sweep, and reports the smallest
 // placement meeting the target, plus the full area/FTI frontier so a
 // designer can pick a different point (e.g., the paper's disposable
 // glucose-meter vs implantable drug-dosing trade-off, §6.3).
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "assay/schedule.h"
-#include "core/two_stage_placer.h"
+#include "core/placer.h"
 
 namespace dmfb {
 
@@ -36,7 +37,9 @@ struct SpareAdvice {
 struct SpareAdvisorOptions {
   double target_fti = 0.9;
   std::vector<double> betas{10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0};
-  TwoStageOptions two_stage;  ///< annealing parameters per point
+  /// Annealing parameters: stage 1 runs the "sa" backend on this context
+  /// at beta = 0, and every point refines it with `ltsa`.
+  PlacerContext context;
 };
 
 /// Sweeps beta, collects the frontier, and picks the smallest-area point

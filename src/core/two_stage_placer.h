@@ -5,38 +5,29 @@
 // stage-1 placement refines for the weighted objective
 // alpha*area - beta*FTI, using only single-module displacement moves so
 // the compact structure is perturbed gently.
+//
+// The "two-stage" backend (core/placer.h) runs stage 1 as the "sa"
+// backend at beta = 0 and stage 2 through anneal_ltsa; the spare
+// advisor (core/spare_advisor.h) anneals stage 1 once and refines it at
+// every beta of its sweep.
 #pragma once
 
-#include "assay/schedule.h"
+#include <cstdint>
+
 #include "core/sa_placer.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
-/// Configuration of the two-stage flow.
-struct TwoStageOptions {
-  /// Stage-1 (area-only) options; weights.beta is forced to 0.
-  SaPlacerOptions stage1;
-  /// Fault-tolerance weight beta for stage 2 (Table 2 sweeps 10..60).
-  double beta = 30.0;
-  /// LTSA temperature schedule; initial temperature is low by design.
-  AnnealingSchedule ltsa{/*initial_temperature=*/100.0,
-                         /*cooling_rate=*/0.9,
-                         /*iterations_per_module=*/400,
-                         /*min_temperature=*/0.05};
-  /// Seed for the stage-2 annealer (stage 1 uses stage1.seed).
-  std::uint64_t stage2_seed = 0x17A2B00CULL;
-};
+/// The stage-2 seed the "two-stage" backend splits off its context seed,
+/// so stage 2 does not replay stage 1's stream.
+std::uint64_t ltsa_seed(std::uint64_t context_seed);
 
-/// Results of both stages; `stage2.placement` is the final answer.
-struct TwoStageOutcome {
-  PlacementOutcome stage1;
-  PlacementOutcome stage2;
-};
-
-/// Runs the two-stage flow on a synthesized schedule.
-DMFB_DEPRECATED("use make_placer(\"two-stage\")->place(schedule, context)")
-TwoStageOutcome place_two_stage(const Schedule& schedule,
-                                const TwoStageOptions& options = {});
+/// Stage 2: anneals from `stage1` with context.ltsa at fault-tolerance
+/// weight `beta`, single-module displacement moves only, drawing from
+/// `seed`. Every other field (canvas, defects, route links, FTI options,
+/// the other weights) comes from `context`.
+PlacementOutcome anneal_ltsa(const Placement& stage1,
+                             const PlacerContext& context, double beta,
+                             std::uint64_t seed);
 
 }  // namespace dmfb

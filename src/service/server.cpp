@@ -40,8 +40,19 @@ int as_count(const json::Value& value, const std::string& what) {
   return count;
 }
 
-std::uint64_t as_u64(const json::Value& value) {
-  return static_cast<std::uint64_t>(value.as_number());
+/// A wire number that must be a 64-bit unsigned integer: negative,
+/// fractional, non-finite and >= 2^64 values are rejected by name (a
+/// bare static_cast of such a double is undefined behaviour or silently
+/// truncates).
+std::uint64_t as_u64(const json::Value& value, const std::string& what) {
+  const double number = value.as_number();
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!std::isfinite(number) || number != std::trunc(number) ||
+      number < 0.0 || number >= kTwoTo64) {
+    throw std::invalid_argument(what + " must be an integer in [0, 2^64), "
+                                "got " + json::Value(number).dump());
+  }
+  return static_cast<std::uint64_t>(number);
 }
 
 std::pair<int, int> as_dims(const json::Value& value, const char* what) {
@@ -100,7 +111,7 @@ void parse_pipeline_options(const json::Value& value,
                             PipelineOptions& options) {
   for (const auto& [key, field] : value.as_object()) {
     if (key == "seed") {
-      options.seed = as_u64(field);
+      options.seed = as_u64(field, "seed");
     } else if (key == "placer") {
       options.placer = field.as_string();
     } else if (key == "router") {

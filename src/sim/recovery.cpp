@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "sim/fault.h"
+#include "sim/sim_engine.h"
 
 namespace dmfb {
 
@@ -18,8 +19,11 @@ OnlineRecoveryResult simulate_online_recovery(
   Chip chip(array.right(), array.top());
   inject_fault(chip, faulty_cell);
 
-  const Simulator simulator(sim_options);
-  result.first_run = simulator.run(graph, schedule, placement, chip);
+  // A fresh engine per run, so the second starts from no scratch state.
+  const auto simulate = [&](const Placement& p) {
+    return EventSimEngine(sim_options).run(graph, schedule, p, chip).result;
+  };
+  result.first_run = simulate(placement);
 
   if (result.first_run.success) {
     // The fault never disturbed the assay (unused cell, or only routed
@@ -41,8 +45,7 @@ OnlineRecoveryResult simulate_online_recovery(
   }
   result.recovered = true;
 
-  result.second_run =
-      simulator.run(graph, schedule, result.reconfiguration.placement, chip);
+  result.second_run = simulate(result.reconfiguration.placement);
   result.completed = result.second_run.success;
   result.detail = result.completed
                       ? "assay completed after partial reconfiguration"

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -438,45 +436,12 @@ class RestartRouter final : public Router {
 
 }  // namespace
 
-const char* to_string(RouterKind kind) {
-  switch (kind) {
-    case RouterKind::kNegotiated:
-      return "negotiated";
-    case RouterKind::kPrioritized:
-      return "prioritized";
-    case RouterKind::kRestart:
-      return "restart";
-  }
-  return "?";
-}
-
-template <>
-RouterKind from_string<RouterKind>(std::string_view text) {
-  if (text == "negotiated") return RouterKind::kNegotiated;
-  if (text == "prioritized") return RouterKind::kPrioritized;
-  if (text == "restart") return RouterKind::kRestart;
-  throw std::invalid_argument(
-      "unknown RouterKind \"" + std::string(text) +
-      "\" (expected one of: negotiated, prioritized, restart)");
-}
-
-std::ostream& operator<<(std::ostream& os, RouterKind kind) {
-  return os << to_string(kind);
-}
-
-std::istream& operator>>(std::istream& is, RouterKind& kind) {
-  std::string token;
-  is >> token;
-  kind = from_string<RouterKind>(token);
-  return is;
-}
-
 RouterRegistry::RouterRegistry() {
-  register_router(to_string(RouterKind::kNegotiated),
+  register_router("negotiated",
                   [] { return std::make_unique<NegotiatedRouter>(); });
-  register_router(to_string(RouterKind::kPrioritized),
+  register_router("prioritized",
                   [] { return std::make_unique<PrioritizedRouter>(); });
-  register_router(to_string(RouterKind::kRestart),
+  register_router("restart",
                   [] { return std::make_unique<RestartRouter>(); });
 }
 
@@ -487,10 +452,6 @@ RouterRegistry& RouterRegistry::global() {
 
 std::unique_ptr<Router> make_router(const std::string& name) {
   return RouterRegistry::global().make(name);
-}
-
-std::unique_ptr<Router> make_router(RouterKind kind) {
-  return make_router(std::string(to_string(kind)));
 }
 
 std::vector<std::string> registered_routers() {

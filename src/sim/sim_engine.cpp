@@ -114,13 +114,14 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
                                         SimCheckpoint* checkpoint_out) {
   if (schedule.module_count() != placement.module_count()) {
     throw std::invalid_argument(
-        "Simulator::run: schedule and placement disagree on module count");
+        "EventSimEngine::run: schedule and placement disagree on module "
+        "count");
   }
   const Rect region{0, 0, chip.width(), chip.height()};
   const Rect bbox = placement.bounding_box();
   if (!region.contains(bbox)) {
     throw std::invalid_argument(
-        "Simulator::run: chip smaller than the placement bounding box");
+        "EventSimEngine::run: chip smaller than the placement bounding box");
   }
   for (const PlannedFault& fault : plan.faults) {
     if (!region.contains(Rect{fault.cell.x, fault.cell.y, 1, 1})) {

@@ -189,8 +189,11 @@ class EventSimEngine {
   /// disable. Invoked after each event's effects are applied.
   void set_observer(SimEngineObserver observer);
 
-  /// Executes the assay. Same contract as Simulator::run (including the
-  /// std::invalid_argument validation), with diagnostics on the side.
+  /// Runs `graph`'s operations per `schedule` at the locations in
+  /// `placement` on `chip`. The chip must be at least as large as the
+  /// placement's canvas requirement (bounding box); throws
+  /// std::invalid_argument otherwise. Diagnostics ride alongside the
+  /// SimulationResult.
   SimEngineRun run(const SequencingGraph& graph, const Schedule& schedule,
                    const Placement& placement, const Chip& chip);
 

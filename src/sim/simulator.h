@@ -1,4 +1,5 @@
-// simulator.h — droplet-level execution of a synthesized, placed assay.
+// simulator.h — the droplet-level execution model of a synthesized,
+// placed assay: its options and its result.
 //
 // This substrate substitutes for the fabricated chips the paper's group
 // used: it executes the schedule on the placement, dispensing droplets at
@@ -22,12 +23,10 @@
 // event pulls their inputs across the array, so nothing is stepped
 // between boundaries.
 //
-// Simulator is the plain entry point and forwards to EventSimEngine; use
-// the engine directly for stall diagnostics, per-phase telemetry or
-// cross-run scratch reuse. The original straight-line implementation
-// survives only as a test oracle (tests/support/reference_simulator.h):
-// tests/test_sim_engine.cpp and bench_perf_sim pin the engine's results
-// bit for bit against it.
+// EventSimEngine (sim/sim_engine.h) is the one entry point that runs it.
+// The original straight-line implementation survives only as a test
+// oracle (tests/support/reference_simulator.h): tests/test_sim_engine.cpp
+// and bench_perf_sim pin the engine's results bit for bit against it.
 #pragma once
 
 #include <map>
@@ -44,7 +43,7 @@
 
 namespace dmfb {
 
-/// Simulator tuning.
+/// Simulation tuning.
 struct SimOptions {
   /// Droplet transport speed; defaults to the repo-wide actuation rate
   /// (sim/route_planner.h), so simulated times and the routing layer's
@@ -82,22 +81,6 @@ struct SimulationResult {
   int routes_planned = 0;
   long long route_cells = 0;
   double transport_seconds = 0.0;
-};
-
-/// Executes assays on a chip.
-class Simulator {
- public:
-  explicit Simulator(SimOptions options = {}) : options_(options) {}
-
-  /// Runs `graph`'s operations per `schedule` at the locations in
-  /// `placement` on `chip`. The chip must be at least as large as the
-  /// placement's canvas requirement (bounding box); throws
-  /// std::invalid_argument otherwise. Forwards to a fresh EventSimEngine.
-  SimulationResult run(const SequencingGraph& graph, const Schedule& schedule,
-                       const Placement& placement, const Chip& chip) const;
-
- private:
-  SimOptions options_;
 };
 
 }  // namespace dmfb

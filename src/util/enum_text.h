@@ -4,8 +4,8 @@
 // definition plus an explicit specialization of `from_string<Enum>` declared
 // here, so configs and CLI flags round-trip through text:
 //
-//   PlacerKind kind = from_string<PlacerKind>("two-stage");
-//   assert(from_string<PlacerKind>(to_string(kind)) == kind);
+//   BindingPolicy policy = from_string<BindingPolicy>("round-robin");
+//   assert(from_string<BindingPolicy>(to_string(policy)) == policy);
 //
 // Stream operators (`operator<<` / `operator>>`) are layered on the same
 // pair, in the style of poplibs' Operation: `>>` reads one whitespace-

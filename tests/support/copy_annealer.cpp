@@ -6,14 +6,14 @@
 namespace dmfb {
 
 PlacementOutcome anneal_copy(const Placement& initial,
-                             const SaPlacerOptions& options) {
-  validate_schedule(options.schedule);
+                             const PlacerContext& context) {
+  validate_schedule(context.annealing);
   const auto start_time = std::chrono::steady_clock::now();
 
-  CostEvaluator evaluator(options.weights, options.fti_options);
-  evaluator.set_defects(options.defects);
-  evaluator.set_route_links(options.route_links);
-  Rng rng(options.seed);
+  CostEvaluator evaluator(context.weights, context.fti_options);
+  evaluator.set_defects(context.defects);
+  evaluator.set_route_links(context.route_links);
+  Rng rng(context.seed);
 
   PlacementOutcome outcome;
   long long proposals_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
@@ -22,14 +22,14 @@ PlacementOutcome anneal_copy(const Placement& initial,
   problem.neighbor = [&](const Placement& p, double fraction, Rng& move_rng) {
     Placement next = p;
     const MoveKind kind =
-        apply_random_move(next, fraction, options.moves, move_rng);
+        apply_random_move(next, fraction, context.moves, move_rng);
     ++proposals_by_kind[static_cast<int>(kind)];
     return next;
   };
   problem.recordable = [&](const Placement& p) {
     return p.feasible() && evaluator.defect_usage(p) == 0;
   };
-  outcome.placement = anneal(initial, problem, options.schedule,
+  outcome.placement = anneal(initial, problem, context.annealing,
                              initial.module_count(), rng, &outcome.stats);
   for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
     outcome.stats.proposals_by_kind[k] = proposals_by_kind[k];

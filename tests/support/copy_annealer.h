@@ -19,6 +19,7 @@
 #include <limits>
 
 #include "core/annealer.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
 
 namespace dmfb {
@@ -103,6 +104,6 @@ State anneal(State initial, const AnnealingProblem<State>& problem,
 /// only (the accept decision happens inside the generic loop), so
 /// `stats.accepted_by_kind` stays zero.
 PlacementOutcome anneal_copy(const Placement& initial,
-                             const SaPlacerOptions& options);
+                             const PlacerContext& context);
 
 }  // namespace dmfb

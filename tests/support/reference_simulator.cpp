@@ -45,12 +45,12 @@ SimulationResult run_reference(const SequencingGraph& graph,
                                const SimOptions& options) {
   if (schedule.module_count() != placement.module_count()) {
     throw std::invalid_argument(
-        "Simulator::run: schedule and placement disagree on module count");
+        "run_reference: schedule and placement disagree on module count");
   }
   const Rect region{0, 0, chip.width(), chip.height()};
   if (!region.contains(placement.bounding_box())) {
     throw std::invalid_argument(
-        "Simulator::run: chip smaller than the placement bounding box");
+        "run_reference: chip smaller than the placement bounding box");
   }
   RunState state;
   auto& result = state.result;

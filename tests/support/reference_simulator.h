@@ -12,8 +12,8 @@
 
 namespace dmfb {
 
-/// Executes the assay exactly as Simulator::run specifies, including its
-/// std::invalid_argument validation of module counts and chip size.
+/// Executes the assay exactly as EventSimEngine::run specifies, including
+/// its std::invalid_argument validation of module counts and chip size.
 SimulationResult run_reference(const SequencingGraph& graph,
                                const Schedule& schedule,
                                const Placement& placement, const Chip& chip,

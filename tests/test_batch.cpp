@@ -2,8 +2,8 @@
 // subprocess plumbing (util/subprocess.h): manifests parse and seed
 // items through the shared batch seed-split, the in-process worker loop
 // produces results bit-identical to run_many, checkpoint files tolerate
-// torn writes, and resume trusts only checkpoints that match the
-// current manifest. Deprecation-clean by CMake policy.
+// torn writes, resume trusts only checkpoints that match the current
+// manifest, and the CLI rejects malformed --seed text.
 #include "service/batch.h"
 
 #include <gtest/gtest.h>
@@ -426,6 +426,31 @@ TEST(SubprocessTest, AppendsAreWholeLines) {
   EXPECT_EQ(lines[1], "from b");
   EXPECT_EQ(lines[2], "a again");
   std::remove(path.c_str());
+}
+
+TEST(BatchCliTest, SeedFlagRejectsTextThatIsNotAnUnsignedInteger) {
+  // strtoull alone once accepted "-1" (wrapped to 2^64 - 1) and "12abc"
+  // (read as 12).
+  const char* env_bin = std::getenv("DMFB_BATCH_BIN");
+  const std::string exe = env_bin ? env_bin : "./dmfb_batch";
+  if (!std::ifstream(exe).good()) {
+    GTEST_SKIP() << "dmfb_batch binary not found (run from the build "
+                    "directory or set DMFB_BATCH_BIN)";
+  }
+  const auto exit_code = [&](const std::string& seed) {
+    Subprocess child = Subprocess::spawn(
+        {exe, "--manifest", "missing.jsonl", "--results",
+         testing::TempDir() + "dmfb_seed_results.jsonl", "--seed", seed});
+    child.close_stdin();
+    return child.wait();
+  };
+  for (const char* bad :
+       {"-1", "12abc", "", " 7", "+7", "0x", "99999999999999999999"}) {
+    EXPECT_EQ(exit_code(bad), 2) << "--seed \"" << bad << "\"";
+  }
+  // A well-formed seed gets past flag parsing (and then fails on the
+  // missing manifest, exit 1).
+  EXPECT_EQ(exit_code("0x10"), 1);
 }
 
 }  // namespace

@@ -268,7 +268,7 @@ TEST(ClosedLoopTest, DeltaEngineReplaysCopyOracleUnderGamma) {
     const PlacementOutcome copy = anneal_copy(
         place_greedy(synth.schedule, context.canvas_width,
                      context.canvas_height, context.defects),
-        sa_options_from(context));
+        context);
 
     // The gamma term is exact integer arithmetic in both, so the whole
     // trajectory — not just the answer — coincides.

@@ -11,6 +11,7 @@
 
 #include "core/fti.h"
 #include "core/moves.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
 #include "support/copy_annealer.h"
 #include "util/rng.h"
@@ -148,13 +149,13 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
   const Schedule schedule = mixed_schedule(7, rng);
   const Placement initial = random_placement(schedule, 16, rng);
 
-  SaPlacerOptions options;
+  PlacerContext options;
   options.canvas_width = 16;
   options.canvas_height = 16;
-  options.schedule.initial_temperature = 200.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 30;
-  options.schedule.min_temperature = 0.5;
+  options.annealing.initial_temperature = 200.0;
+  options.annealing.cooling_rate = 0.8;
+  options.annealing.iterations_per_module = 30;
+  options.annealing.min_temperature = 0.5;
   options.weights.beta = beta;
   options.defects = std::move(defects);
   options.seed = seed;

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/greedy_placer.h"
-#include "core/sa_placer.h"
+#include "core/placer.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -117,12 +117,12 @@ TEST(OptimalPlacerTest, SaMatchesOptimumOnSmallInstances) {
     }
     const auto optimal = place_optimal(s);
 
-    SaPlacerOptions options;
-    options.schedule.initial_temperature = 1000.0;
-    options.schedule.cooling_rate = 0.85;
-    options.schedule.iterations_per_module = 200;
+    PlacerContext options;
+    options.annealing.initial_temperature = 1000.0;
+    options.annealing.cooling_rate = 0.85;
+    options.annealing.iterations_per_module = 200;
     options.seed = rng.next();
-    const auto sa = place_simulated_annealing(s, options);
+    const auto sa = make_placer("sa")->place(s, options);
     EXPECT_EQ(sa.cost.area_cells, optimal.area_cells) << "trial " << trial;
   }
 }

@@ -4,9 +4,7 @@
 // user-facing enums round-trip through text. The "portfolio" backend's
 // reproducibility contract — thread-count invariance and (seed, N, K)
 // determinism — is pinned here too (and more deeply in
-// test_portfolio_placer.cpp). This file compiles without
-// DMFB_SUPPRESS_DEPRECATION on purpose: the new API must be usable without
-// touching any deprecated free function.
+// test_portfolio_placer.cpp).
 #include "core/placer.h"
 
 #include <gtest/gtest.h>
@@ -93,15 +91,6 @@ TEST(PlacerRegistryTest, EveryBuiltinPlacesTheSmallInstanceFeasibly) {
   }
 }
 
-TEST(PlacerRegistryTest, MakePlacerByKindMatchesByName) {
-  for (const PlacerKind kind :
-       {PlacerKind::kSa, PlacerKind::kGreedy, PlacerKind::kKamer,
-        PlacerKind::kOptimal, PlacerKind::kTwoStage,
-        PlacerKind::kPortfolio}) {
-    EXPECT_EQ(make_placer(kind)->name(), to_string(kind));
-  }
-}
-
 TEST(PlacerRegistryTest, CustomRegistration) {
   class NullPlacer final : public Placer {
    public:
@@ -149,16 +138,6 @@ void expect_round_trip(Enum value) {
   Enum parsed{};
   stream >> parsed;
   EXPECT_EQ(parsed, value);
-}
-
-TEST(EnumTextTest, PlacerKindRoundTrips) {
-  for (const PlacerKind kind :
-       {PlacerKind::kSa, PlacerKind::kGreedy, PlacerKind::kKamer,
-        PlacerKind::kOptimal, PlacerKind::kTwoStage,
-        PlacerKind::kPortfolio}) {
-    expect_round_trip(kind);
-  }
-  EXPECT_THROW(from_string<PlacerKind>("annealing"), std::invalid_argument);
 }
 
 TEST(EnumTextTest, BindingPolicyRoundTrips) {

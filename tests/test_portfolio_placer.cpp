@@ -14,6 +14,7 @@
 
 #include "assay/assay_library.h"
 #include "assay/pipeline.h"
+#include "core/placer.h"
 
 namespace dmfb {
 namespace {
@@ -25,11 +26,11 @@ Schedule pcr_schedule() {
 }
 
 /// Short annealing runs so the whole suite stays fast.
-SaPlacerOptions fast_options() {
-  SaPlacerOptions options;
-  options.schedule.initial_temperature = 1000.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 40;
+PlacerContext fast_options() {
+  PlacerContext options;
+  options.annealing.initial_temperature = 1000.0;
+  options.annealing.cooling_rate = 0.8;
+  options.annealing.iterations_per_module = 40;
   return options;
 }
 
@@ -38,6 +39,14 @@ PortfolioOptions fast_portfolio() {
   portfolio.replicas = 3;
   portfolio.exchange_period = 2;
   return portfolio;
+}
+
+/// The "portfolio" backend with `portfolio` as the context's options.
+PlacementOutcome run_portfolio(const Schedule& schedule,
+                               PlacerContext context,
+                               const PortfolioOptions& portfolio) {
+  context.portfolio = portfolio;
+  return make_placer("portfolio")->place(schedule, context);
 }
 
 std::vector<std::pair<Point, bool>> poses_of(const Placement& placement) {
@@ -51,7 +60,7 @@ std::vector<std::pair<Point, bool>> poses_of(const Placement& placement) {
 
 TEST(PortfolioPlacerTest, PlacesThePcrInstanceFeasibly) {
   const PlacementOutcome outcome =
-      place_portfolio(pcr_schedule(), fast_options(), fast_portfolio());
+      run_portfolio(pcr_schedule(), fast_options(), fast_portfolio());
   EXPECT_TRUE(outcome.placement.feasible());
   EXPECT_EQ(outcome.placement.module_count(), pcr_schedule().module_count());
   EXPECT_GT(outcome.cost.area_cells, 0);
@@ -59,14 +68,14 @@ TEST(PortfolioPlacerTest, PlacesThePcrInstanceFeasibly) {
 }
 
 TEST(PortfolioPlacerTest, ThreadCountChangesNothingButWallTime) {
-  const SaPlacerOptions options = fast_options();
+  const PlacerContext options = fast_options();
   PortfolioOptions portfolio = fast_portfolio();
   std::vector<std::vector<std::pair<Point, bool>>> results;
   std::vector<double> best_costs;
   for (const int threads : {1, 2, 8}) {
     portfolio.threads = threads;
     const PlacementOutcome outcome =
-        place_portfolio(pcr_schedule(), options, portfolio);
+        run_portfolio(pcr_schedule(), options, portfolio);
     results.push_back(poses_of(outcome.placement));
     best_costs.push_back(outcome.stats.best_cost);
   }
@@ -77,14 +86,14 @@ TEST(PortfolioPlacerTest, ThreadCountChangesNothingButWallTime) {
 }
 
 TEST(PortfolioPlacerTest, BitStableForFixedSeedReplicasAndPeriod) {
-  const SaPlacerOptions options = fast_options();
+  const PlacerContext options = fast_options();
   PortfolioOptions portfolio = fast_portfolio();
   portfolio.replicas = 4;
   portfolio.exchange_period = 3;
   const PlacementOutcome a =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   const PlacementOutcome b =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   EXPECT_EQ(poses_of(a.placement), poses_of(b.placement));
   EXPECT_EQ(a.stats.best_cost, b.stats.best_cost);
   EXPECT_EQ(a.stats.proposals, b.stats.proposals);
@@ -98,24 +107,24 @@ TEST(PortfolioPlacerTest, BitStableForFixedSeedReplicasAndPeriod) {
 }
 
 TEST(PortfolioPlacerTest, DifferentSeedsDiverge) {
-  SaPlacerOptions options = fast_options();
+  PlacerContext options = fast_options();
   const PortfolioOptions portfolio = fast_portfolio();
   const PlacementOutcome a =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   options.seed ^= 0x1234567ULL;
   const PlacementOutcome b =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   EXPECT_NE(poses_of(a.placement), poses_of(b.placement));
 }
 
 TEST(PortfolioPlacerTest, ExchangesHappenOnTheLadder) {
-  SaPlacerOptions options = fast_options();
-  options.schedule.iterations_per_module = 20;
+  PlacerContext options = fast_options();
+  options.annealing.iterations_per_module = 20;
   PortfolioOptions portfolio = fast_portfolio();
   portfolio.replicas = 4;
   portfolio.exchange_period = 1;
   const PlacementOutcome outcome =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   EXPECT_GT(outcome.stats.exchanges_attempted, 0);
   // Adjacent-temperature chains at a 1.25 ladder ratio exchange often;
   // zero acceptances would mean the criterion is wired backwards.
@@ -129,7 +138,7 @@ TEST(PortfolioPlacerTest, ExchangesHappenOnTheLadder) {
 
 TEST(PortfolioPlacerTest, ReplicaStatsAggregateIntoTheOutcomeStats) {
   const PlacementOutcome outcome =
-      place_portfolio(pcr_schedule(), fast_options(), fast_portfolio());
+      run_portfolio(pcr_schedule(), fast_options(), fast_portfolio());
   ASSERT_EQ(outcome.replica_stats.size(), 3u);
   long long proposals = 0;
   long long accepted = 0;
@@ -147,36 +156,36 @@ TEST(PortfolioPlacerTest, ReplicaStatsAggregateIntoTheOutcomeStats) {
 }
 
 TEST(PortfolioPlacerTest, TargetCostStopsAtTheFirstSatisfyingBarrier) {
-  const SaPlacerOptions options = fast_options();
+  const PlacerContext options = fast_options();
   PortfolioOptions portfolio = fast_portfolio();
   const PlacementOutcome full =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   ASSERT_GT(full.stats.temperature_steps, 0);
   // A target the feasible greedy initial already satisfies stops the run
   // before any annealing step.
   portfolio.target_cost = std::numeric_limits<double>::max();
   const PlacementOutcome stopped =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   EXPECT_EQ(stopped.stats.temperature_steps, 0);
   EXPECT_TRUE(stopped.placement.feasible());
   // A target between the initial and the full run's best stops early but
   // not immediately, and the result honours it.
   portfolio.target_cost = full.stats.best_cost * 1.10;
   const PlacementOutcome early =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   EXPECT_LE(early.stats.best_cost, portfolio.target_cost);
   EXPECT_LE(early.stats.temperature_steps, full.stats.temperature_steps);
 }
 
 TEST(PortfolioPlacerTest, WarmStartNeverWorsensTheWarmSource) {
-  SaPlacerOptions options = fast_options();
+  PlacerContext options = fast_options();
   const PortfolioOptions portfolio = fast_portfolio();
   const PlacementOutcome cold =
-      place_portfolio(pcr_schedule(), options, portfolio);
-  options.initial = std::make_shared<Placement>(cold.placement);
+      run_portfolio(pcr_schedule(), options, portfolio);
+  options.initial_placement = std::make_shared<Placement>(cold.placement);
   options.seed ^= 0xC0FFEEULL;  // a different run, not a replay
   const PlacementOutcome warm =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   // Replica 0 starts at the warm placement, which is feasible and thus
   // recorded before any move; the incumbent can only improve on it.
   EXPECT_LE(warm.stats.best_cost, cold.stats.best_cost);
@@ -184,10 +193,10 @@ TEST(PortfolioPlacerTest, WarmStartNeverWorsensTheWarmSource) {
 }
 
 TEST(PortfolioPlacerTest, AvoidsDefectiveElectrodes) {
-  SaPlacerOptions options = fast_options();
+  PlacerContext options = fast_options();
   options.defects = {Point{4, 4}, Point{12, 9}, Point{18, 17}};
   const PlacementOutcome outcome =
-      place_portfolio(pcr_schedule(), options, fast_portfolio());
+      run_portfolio(pcr_schedule(), options, fast_portfolio());
   EXPECT_TRUE(outcome.placement.feasible());
   for (const auto& m : outcome.placement.modules()) {
     for (const Point defect : options.defects) {
@@ -200,23 +209,23 @@ TEST(PortfolioPlacerTest, AvoidsDefectiveElectrodes) {
 TEST(PortfolioPlacerTest, RejectsSchedulesThatNeverTerminate) {
   // A negative Na once reached a std::vector resize inside the replicas
   // and leaked libstdc++'s "vector::_M_default_append" to the client.
-  SaPlacerOptions options = fast_options();
-  options.schedule.iterations_per_module = -1;
-  EXPECT_THROW(place_portfolio(pcr_schedule(), options, fast_portfolio()),
+  PlacerContext options = fast_options();
+  options.annealing.iterations_per_module = -1;
+  EXPECT_THROW(run_portfolio(pcr_schedule(), options, fast_portfolio()),
                std::invalid_argument);
   options = fast_options();
-  options.schedule.cooling_rate = 1.0;
-  EXPECT_THROW(place_portfolio(pcr_schedule(), options, fast_portfolio()),
+  options.annealing.cooling_rate = 1.0;
+  EXPECT_THROW(run_portfolio(pcr_schedule(), options, fast_portfolio()),
                std::invalid_argument);
 }
 
 TEST(PortfolioPlacerTest, ZeroReplicasResolvesToHardwareConcurrency) {
-  SaPlacerOptions options = fast_options();
-  options.schedule.iterations_per_module = 10;
+  PlacerContext options = fast_options();
+  options.annealing.iterations_per_module = 10;
   PortfolioOptions portfolio;
   portfolio.replicas = 0;
   const PlacementOutcome outcome =
-      place_portfolio(pcr_schedule(), options, portfolio);
+      run_portfolio(pcr_schedule(), options, portfolio);
   EXPECT_EQ(static_cast<int>(outcome.replica_stats.size()),
             resolved_replicas(portfolio));
   EXPECT_GE(resolved_replicas(portfolio), 1);

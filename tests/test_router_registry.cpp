@@ -3,15 +3,12 @@
 // merge-at-same-target exemption, the 2-cell Chebyshev dynamic rule
 // against *previous* positions, and a forced yield at a crossing — run
 // identically against every registered backend (the shared conformance
-// suite, like test_placer_registry). This file compiles without
-// DMFB_SUPPRESS_DEPRECATION on purpose: the new API must be usable
-// without touching any deprecated free function.
+// suite, like test_placer_registry).
 #include "sim/router_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "assay/assay_library.h"
 #include "assay/pipeline.h"
@@ -145,14 +142,6 @@ TEST(RouterRegistryTest, NameAccessorMatchesRegistryKey) {
   }
 }
 
-TEST(RouterRegistryTest, MakeRouterByKindMatchesByName) {
-  for (const RouterKind kind :
-       {RouterKind::kNegotiated, RouterKind::kPrioritized,
-        RouterKind::kRestart}) {
-    EXPECT_EQ(make_router(kind)->name(), to_string(kind));
-  }
-}
-
 TEST(RouterRegistryTest, CustomRegistration) {
   class NullRouter final : public Router {
    public:
@@ -176,22 +165,6 @@ TEST(RouterRegistryTest, CustomRegistration) {
                                [] { return std::make_unique<NullRouter>(); }),
       std::invalid_argument);
 }
-
-TEST(EnumTextTest, RouterKindRoundTrips) {
-  for (const RouterKind kind :
-       {RouterKind::kNegotiated, RouterKind::kPrioritized,
-        RouterKind::kRestart}) {
-    EXPECT_EQ(from_string<RouterKind>(to_string(kind)), kind);
-    std::stringstream stream;
-    stream << kind;
-    RouterKind parsed{};
-    stream >> parsed;
-    EXPECT_EQ(parsed, kind);
-  }
-  EXPECT_THROW(from_string<RouterKind>("pathfinder"), std::invalid_argument);
-}
-
-// --- shared conformance suite: every registered router ----------------
 
 TEST(RouterConformanceTest, PcrPlanSucceedsAndValidates) {
   const RoutingCase c = pcr_case();

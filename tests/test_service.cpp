@@ -595,6 +595,29 @@ TEST(ServerHardeningTest, NegativeCountsAreErrors) {
       2, ">= 0");
 }
 
+TEST(ServerHardeningTest, NegativeSeedIsAnError) {
+  // Once served as seed 2^64 - 1 (printed 1.8446744073709552e+19).
+  expect_errors_then_served(
+      serve_then_probe({request_line("n", "{\"seed\":-1}")}), 1,
+      "seed must be an integer in [0, 2^64)");
+}
+
+TEST(ServerHardeningTest, SeedOf2To64OrMoreIsAnError) {
+  // 1e30 was once served as seed 0 (an out-of-range cast).
+  expect_errors_then_served(
+      serve_then_probe(
+          {request_line("h", "{\"seed\":1e30}"),
+           request_line("e", "{\"seed\":18446744073709551616}")}),
+      2, "seed must be an integer in [0, 2^64)");
+}
+
+TEST(ServerHardeningTest, FractionalSeedIsAnError) {
+  // Once silently truncated to seed 1.
+  expect_errors_then_served(
+      serve_then_probe({request_line("f", "{\"seed\":1.5}")}), 1,
+      "seed must be an integer in [0, 2^64)");
+}
+
 TEST(ServerHardeningTest, DeeplyNestedLineIsAnErrorNotACrash) {
   // 200k open brackets once overflowed the recursive parser's stack.
   expect_errors_then_served(

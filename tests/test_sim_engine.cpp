@@ -12,7 +12,7 @@
 
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 #include "sim/fault.h"
 #include "support/reference_simulator.h"
@@ -28,10 +28,10 @@ struct Synthesized {
 
 Synthesized pcr_setup(int canvas = 16) {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return Synthesized{assay.graph, std::move(synth.schedule),
+  Schedule schedule = list_schedule(assay.graph, assay.binding,
+                                    assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return Synthesized{assay.graph, std::move(schedule),
                      std::move(placement)};
 }
 
@@ -41,10 +41,10 @@ Synthesized random_setup(std::uint64_t seed, int mixes, int canvas) {
   params.mix_operations = mixes;
   params.max_layer_width = 4;
   const AssayCase assay = random_assay(params, lib, seed);
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return Synthesized{assay.graph, std::move(synth.schedule),
+  Schedule schedule = list_schedule(assay.graph, assay.binding,
+                                    assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return Synthesized{assay.graph, std::move(schedule),
                      std::move(placement)};
 }
 
@@ -70,7 +70,9 @@ void expect_identical(const SimulationResult& event,
 
 SimulationResult run_event(const Synthesized& s, const Chip& chip,
                            const SimOptions& options = {}) {
-  return Simulator(options).run(s.graph, s.schedule, s.placement, chip);
+  return EventSimEngine(options)
+      .run(s.graph, s.schedule, s.placement, chip)
+      .result;
 }
 
 SimulationResult run_oracle(const Synthesized& s, const Chip& chip,

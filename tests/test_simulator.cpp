@@ -1,12 +1,12 @@
 // Tests for the droplet-level simulator (sim/simulator.h): assays execute
 // correctly on fault-free chips, produce the right mixtures, and stall on
 // faults inside module footprints.
-#include "sim/simulator.h"
+#include "sim/sim_engine.h"
 
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 #include "sim/fault.h"
 
@@ -21,19 +21,19 @@ struct PcrSetup {
 
 PcrSetup pcr_setup(int canvas = 16) {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return PcrSetup{assay.graph, std::move(synth.schedule),
+  Schedule schedule = list_schedule(assay.graph, assay.binding,
+                                    assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return PcrSetup{assay.graph, std::move(schedule),
                   std::move(placement)};
 }
 
 TEST(SimulatorTest, PcrCompletesOnHealthyChip) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_TRUE(result.success) << result.failure_reason;
   EXPECT_DOUBLE_EQ(result.makespan_s, setup.schedule.makespan_s());
   EXPECT_GT(result.routes_planned, 0);
@@ -43,9 +43,9 @@ TEST(SimulatorTest, PcrCompletesOnHealthyChip) {
 TEST(SimulatorTest, PcrFinalDropletMixesAllEightReagents) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   ASSERT_TRUE(result.success) << result.failure_reason;
 
   // Find the root mix M7 and check its output droplet: all 8 reagents at
@@ -73,9 +73,9 @@ TEST(SimulatorTest, FaultInsideModuleStallsAssay) {
   const Point fault{fp.x + fp.width / 2, fp.y + fp.height / 2};
   inject_fault(chip, fault);
 
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.fault_cell, fault);
   EXPECT_GE(result.failed_module, 0);
@@ -86,18 +86,18 @@ TEST(SimulatorTest, FaultOnUnusedCellIsHarmlessWithSpareRoom) {
   const auto setup = pcr_setup(20);
   Chip chip(20, 20);
   inject_fault(chip, Point{19, 19});  // far corner, outside every footprint
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_TRUE(result.success) << result.failure_reason;
 }
 
 TEST(SimulatorTest, EventsAreChronological) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   ASSERT_TRUE(result.success);
   EXPECT_FALSE(result.events.empty());
 }
@@ -107,9 +107,9 @@ TEST(SimulatorTest, RoutingCanBeDisabled) {
   const Chip chip(16, 16);
   SimOptions options;
   options.verify_routing = false;
-  const Simulator simulator(options);
+  EventSimEngine simulator(options);
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.routes_planned, 0);
 }
@@ -117,7 +117,7 @@ TEST(SimulatorTest, RoutingCanBeDisabled) {
 TEST(SimulatorTest, ChipSmallerThanPlacementThrows) {
   const auto setup = pcr_setup();
   const Chip chip(4, 4);
-  const Simulator simulator;
+  EventSimEngine simulator;
   EXPECT_THROW(
       simulator.run(setup.graph, setup.schedule, setup.placement, chip),
       std::invalid_argument);
@@ -128,7 +128,7 @@ TEST(SimulatorTest, MismatchedScheduleAndPlacementThrow) {
   Schedule truncated;
   truncated.add(setup.schedule.module(0));
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine simulator;
   EXPECT_THROW(
       simulator.run(setup.graph, truncated, setup.placement, chip),
       std::invalid_argument);
@@ -137,13 +137,13 @@ TEST(SimulatorTest, MismatchedScheduleAndPlacementThrow) {
 TEST(SimulatorTest, DilutionAssayProducesSerialConcentrations) {
   const auto lib = ModuleLibrary::standard();
   const auto assay = protein_dilution_assay(2, lib);
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement placement = place_greedy(synth.schedule, 20, 20);
+  const Schedule schedule = list_schedule(assay.graph, assay.binding,
+                                          assay.scheduler_options);
+  const Placement placement = place_greedy(schedule, 20, 20);
   const Chip chip(20, 20);
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(assay.graph, synth.schedule, placement, chip);
+      simulator.run(assay.graph, schedule, placement, chip).result;
   ASSERT_TRUE(result.success) << result.failure_reason;
   // Root dilution: protein at 1/2. Second level: 1/4.
   for (const auto& op : assay.graph.operations()) {
@@ -160,9 +160,9 @@ TEST(SimulatorTest, DilutionAssayProducesSerialConcentrations) {
 TEST(SimulatorTest, TransportStatsAccumulate) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine simulator;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      simulator.run(setup.graph, setup.schedule, setup.placement, chip).result;
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.transport_seconds, 0.0);
   // At 13 cells/s, transport seconds = cells / 13.

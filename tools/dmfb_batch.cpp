@@ -1,9 +1,9 @@
 // dmfb_batch — multi-process sharded batch synthesis with
 // checkpoint/restart (service/batch.h).
 //
-//   dmfb_batch --manifest assays.jsonl --results out.jsonl \
-//       [--ledger out.jsonl.ledger] [--workers N] [--resume] \
-//       [--cache cache.txt] [--seed S] [--options '{"placer":"sa",...}'] \
+//   dmfb_batch --manifest assays.jsonl --results out.jsonl
+//       [--ledger out.jsonl.ledger] [--workers N] [--resume]
+//       [--cache cache.txt] [--seed S] [--options '{"placer":"sa",...}']
 //       [--max-respawns N] [--chaos-kill-after N]
 //
 // The manifest is one JSON object per line ({"id":...,"assay":...,
@@ -17,6 +17,8 @@
 // deterministically, and the final results file holds the same lines an
 // uninterrupted run would have produced. With --cache, exact-hit items
 // are served from the cache file and fresh compiles are merged back in.
+// --seed takes an unsigned 64-bit integer (decimal, 0x hex or 0 octal);
+// any other text is a usage error.
 //
 // A worker that dies mid-run (crash, OOM kill) is respawned by the
 // parent with exactly its unreported items, up to --max-respawns times
@@ -31,7 +33,10 @@
 //       [--cache C]
 //
 // is the internal worker mode (base options + item indices on stdin).
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -110,7 +115,20 @@ int main(int argc, char** argv) {
     } else if (flag("--chaos-kill-after")) {
       chaos_kill_after = std::atoi(value());
     } else if (flag("--seed")) {
-      seed = std::strtoull(value(), nullptr, 0);
+      // strtoull skips blanks, wraps "-1" to 2^64 - 1 and stops at junk,
+      // so demand a leading digit, full consumption and no overflow.
+      const char* text = value();
+      char* end = nullptr;
+      errno = 0;
+      seed = std::strtoull(text, &end, 0);
+      if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+          *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr,
+                     "--seed must be an unsigned 64-bit integer, got "
+                     "\"%s\"\n",
+                     text);
+        return 2;
+      }
       seed_set = true;
     } else {
       return usage(argv[0]);
