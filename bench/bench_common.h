@@ -89,8 +89,11 @@ inline void emit_scaling_json_line(int modules, double beta,
 }
 
 /// The portfolio-race counterpart: one line per replica count of
-/// bench_perf_sa's wall-clock-to-target race. `target_cost` is the
-/// N = 1 portfolio run's best cost; `seconds_to_target` is the
+/// bench_perf_sa's time-to-target race. `target_cost` is the N = 1
+/// portfolio run's best cost; `steps_to_target` is
+/// `stats.temperature_steps` of a run stopped at that target — the
+/// temperature steps to the exchange barrier where it first reached it
+/// (the race's gate); `seconds_to_target` is the
 /// CRITICAL-PATH time at which this row first reached it — the sum over
 /// exchange intervals of the slowest replica's segment plus the serial
 /// exchange passes, i.e. the elapsed wall of the same run on >= N free
@@ -107,6 +110,7 @@ inline void emit_portfolio_json_line(int modules, int replicas,
             << ",\"replicas\":" << replicas << ",\"target_cost\":"
             << target_cost << ",\"best_cost\":" << best_cost
             << ",\"reached\":" << (reached ? "true" : "false")
+            << ",\"steps_to_target\":" << stats.temperature_steps
             << ",\"seconds_to_target\":" << seconds_to_target
             << ",\"wall_seconds\":" << wall_seconds << ",\"speedup\":"
             << speedup << ",\"proposals_per_second\":"

@@ -1,6 +1,7 @@
 #include "core/fti.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -12,12 +13,11 @@ namespace dmfb {
 namespace {
 
 /// Binary occupancy of `region` by modules that time-overlap module
-/// `excluded` (excluding itself), written into `grid`: exactly the cells
-/// unavailable to the module were it relocated.
-void occupancy_excluding_into(const Placement& placement, int excluded,
-                              const Rect& region,
-                              Matrix<std::uint8_t>& grid) {
-  grid.reset(region.width, region.height, 0);
+/// `excluded` (excluding itself): exactly the cells unavailable to the
+/// module were it relocated.
+Matrix<std::uint8_t> occupancy_excluding(const Placement& placement,
+                                         int excluded, const Rect& region) {
+  Matrix<std::uint8_t> grid(region.width, region.height, 0);
   const PlacedModule& target = placement.module(excluded);
   for (int i = 0; i < placement.module_count(); ++i) {
     if (i == excluded) continue;
@@ -28,42 +28,7 @@ void occupancy_excluding_into(const Placement& placement, int excluded,
     fp.y -= region.y;
     grid.fill_rect(fp, 1);
   }
-}
-
-Matrix<std::uint8_t> occupancy_excluding(const Placement& placement,
-                                         int excluded, const Rect& region) {
-  Matrix<std::uint8_t> grid;
-  occupancy_excluding_into(placement, excluded, region, grid);
   return grid;
-}
-
-/// Builds the per-orientation queries from `scratch.occupied` (already
-/// filled with the excluding occupancy). The valid-anchor grid — cell
-/// (x, y) is valid iff rect (x, y, w, h) is empty and inside the grid —
-/// is derived fused into its prefix-sum pass, never materialized.
-std::vector<OrientationQuery> queries_from_scratch(FtiBuildScratch& scratch,
-                                                   int w, int h,
-                                                   const FtiOptions& options) {
-  scratch.occupied_sums.rebuild(scratch.occupied);
-  const int grid_w = scratch.occupied_sums.width();
-  const int grid_h = scratch.occupied_sums.height();
-
-  std::vector<OrientationQuery> queries;
-  auto add = [&](int qw, int qh) {
-    OrientationQuery q;
-    q.w = qw;
-    q.h = qh;
-    q.position_sums.rebuild_from(grid_w, grid_h, [&](int x, int y) {
-      return x + qw <= grid_w && y + qh <= grid_h &&
-             scratch.occupied_sums.is_rect_empty(Rect{x, y, qw, qh});
-    });
-    q.total_positions =
-        q.position_sums.occupied_in(Rect{0, 0, grid_w, grid_h});
-    queries.push_back(std::move(q));
-  };
-  add(w, h);
-  if (options.allow_rotation && w != h) add(h, w);
-  return queries;
 }
 
 }  // namespace
@@ -81,20 +46,36 @@ bool OrientationQuery::relocatable_avoiding(Point cell) const {
   return total_positions - positions_containing(cell) > 0;
 }
 
+/// The valid-anchor grid — cell (x, y) is valid iff rect (x, y, w, h) is
+/// empty and inside the region — is derived fused into its prefix-sum
+/// pass, never materialized.
 std::vector<OrientationQuery> build_relocation_queries(
     const Placement& placement, int index, const Rect& region,
     const FtiOptions& options) {
-  FtiBuildScratch scratch;
-  return build_relocation_queries(placement, index, region, options, scratch);
-}
-
-std::vector<OrientationQuery> build_relocation_queries(
-    const Placement& placement, int index, const Rect& region,
-    const FtiOptions& options, FtiBuildScratch& scratch) {
   const PlacedModule& m = placement.module(index);
-  occupancy_excluding_into(placement, index, region, scratch.occupied);
-  return queries_from_scratch(scratch, m.spec.footprint_width(),
-                              m.spec.footprint_height(), options);
+  const PrefixSum2D occupied_sums(
+      occupancy_excluding(placement, index, region));
+  const int grid_w = occupied_sums.width();
+  const int grid_h = occupied_sums.height();
+
+  std::vector<OrientationQuery> queries;
+  auto add = [&](int qw, int qh) {
+    OrientationQuery q;
+    q.w = qw;
+    q.h = qh;
+    q.position_sums.rebuild_from(grid_w, grid_h, [&](int x, int y) {
+      return x + qw <= grid_w && y + qh <= grid_h &&
+             occupied_sums.is_rect_empty(Rect{x, y, qw, qh});
+    });
+    q.total_positions =
+        q.position_sums.occupied_in(Rect{0, 0, grid_w, grid_h});
+    queries.push_back(std::move(q));
+  };
+  const int w = m.spec.footprint_width();
+  const int h = m.spec.footprint_height();
+  add(w, h);
+  if (options.allow_rotation && w != h) add(h, w);
+  return queries;
 }
 
 FtiResult evaluate_fti(const Placement& placement, const FtiOptions& options,
@@ -154,56 +135,109 @@ Rect anchor_clamp(const Rect& region, int w, int h) {
               region.height - h + 1};
 }
 
-/// Count and bounding box (absolute coordinates) of the valid
-/// (bad == 0) anchors of `grid` inside the absolute clamp rectangle —
-/// one pointer scan over the clamp, clipped to the anchor area. The
-/// scan stops early once the anchors provably spread wider than one
-/// footprint (bbox wider than w or taller than h): that alone makes the
-/// orientation block nothing, and the caller never needs the exact
-/// count (`spread` set, count/bbox partial).
+/// Bit of domain column x in its row word (word x / 64 of the row).
+constexpr std::uint64_t cell_bit(int x) {
+  return std::uint64_t{1} << (x % 64);
+}
+
+/// `words |= words >> shift` over one multi-word bit row (bit x of the row
+/// is bit x % 64 of word x / 64): afterwards bit x also holds what bit
+/// x + shift held. Any shift is defined — whole words plus bits, never a
+/// 64-bit shift. `words[count]` is a zero guard word.
+void or_shifted_down(std::uint64_t* words, int count, int shift) {
+  const int skip = shift / 64;
+  const int bits = shift % 64;
+  // Ascending and in place: word i reads only words >= i, before any of
+  // them is written.
+  for (int i = 0; i + skip < count; ++i) {
+    std::uint64_t moved = words[i + skip] >> bits;
+    if (bits != 0) moved |= words[i + skip + 1] << (64 - bits);
+    words[i] |= moved;
+  }
+}
+
+/// Count and bounding box (absolute coordinates) of the valid anchors of
+/// a w-by-h orientation inside the absolute clamp rectangle (clipped to
+/// the anchor area), one clamp row at a time off the occupancy bitboard:
+/// OR the h rows the footprints span, dilate the result leftward by
+/// w - 1 (an anchor is invalid iff any of its w columns is occupied),
+/// complement and mask to the clamp columns — popcount gives the count,
+/// ctz/clz the extremes. The scan stops early once the anchors provably
+/// spread wider than one footprint (bbox wider than w or taller than h):
+/// that alone makes the orientation block nothing, and the caller never
+/// needs the exact count (`spread` set, count/bbox partial). `row` is
+/// the caller's reusable word buffer.
 struct AnchorStats {
   long long count = 0;
   Rect bbox;  ///< absolute; empty when count == 0
   bool spread = false;  ///< anchors provably spread beyond one footprint
 };
 
-AnchorStats scan_anchors(const FtiIncrementalEvaluator::OrientationGrid& grid,
-                         const Rect& domain, const Rect& clamp) {
+AnchorStats scan_anchors(const FtiIncrementalEvaluator::ModuleGrids& grids,
+                         const FtiIncrementalEvaluator::OrientationGrid& grid,
+                         const Rect& domain, const Rect& clamp,
+                         std::vector<std::uint64_t>& row) {
   AnchorStats stats;
   if (clamp.empty()) return stats;
   Rect local{clamp.x - domain.x, clamp.y - domain.y, clamp.width,
              clamp.height};
-  local = local.intersection(Rect{0, 0, grid.bad.width() - grid.w + 1,
-                                  grid.bad.height() - grid.h + 1});
+  local = local.intersection(Rect{0, 0,
+                                  grids.occupancy.width() - grid.w + 1,
+                                  grids.occupancy.height() - grid.h + 1});
   if (local.empty()) return stats;
+  // Anchor columns [local.x, local.right()) read occupancy columns up to
+  // local.right() + w - 2: row words [first, end), anchors in words
+  // [first, last].
+  const int first = local.x / 64;
+  const int last = (local.right() - 1) / 64;
+  const int count = (local.right() + grid.w - 2) / 64 + 1 - first;
+  row.resize(static_cast<std::size_t>(count) + 1);
+  row[static_cast<std::size_t>(count)] = 0;
+  const std::uint64_t first_mask = ~std::uint64_t{0} << (local.x % 64);
+  const std::uint64_t last_mask =
+      ~std::uint64_t{0} >> (63 - (local.right() - 1) % 64);
+
   int min_x = 0, max_x = 0, min_y = 0, max_y = 0;
   for (int y = local.y; y < local.top(); ++y) {
-    const std::uint16_t* row = &grid.bad.at(0, y);
-    if (stats.count > 0 && y - min_y + 1 > grid.h) {
-      // Any further anchor stretches the bbox taller than h.
-      for (int x = local.x; x < local.right(); ++x) {
-        if (row[x] == 0) {
-          stats.spread = true;
-          return stats;
-        }
+    for (int i = 0; i < count; ++i) {
+      std::uint64_t occupied = 0;
+      for (int r = y; r < y + grid.h; ++r) {
+        occupied |= grids.occupied.at(first + i, r);
       }
-      continue;
+      row[static_cast<std::size_t>(i)] = occupied;
     }
-    for (int x = local.x; x < local.right(); ++x) {
-      if (row[x] != 0) continue;
-      if (stats.count == 0) {
-        min_x = max_x = x;
-        min_y = max_y = y;
-      } else {
-        min_x = std::min(min_x, x);
-        max_x = std::max(max_x, x);
-        max_y = y;  // rows scanned bottom-up: the last hit is the top
-        if (max_x - min_x + 1 > grid.w) {
-          stats.spread = true;
-          return stats;
-        }
-      }
-      ++stats.count;
+    // Doubling dilation: after each pass bit x covers columns
+    // [x, x + reach).
+    for (int reach = 1; reach < grid.w;) {
+      const int shift = std::min(reach, grid.w - reach);
+      or_shifted_down(row.data(), count, shift);
+      reach += shift;
+    }
+    long long row_count = 0;
+    int row_min = -1, row_max = -1;
+    for (int word = first; word <= last; ++word) {
+      std::uint64_t valid = ~row[static_cast<std::size_t>(word - first)];
+      if (word == first) valid &= first_mask;
+      if (word == last) valid &= last_mask;
+      if (valid == 0) continue;
+      row_count += std::popcount(valid);
+      if (row_min < 0) row_min = 64 * word + std::countr_zero(valid);
+      row_max = 64 * word + 63 - std::countl_zero(valid);
+    }
+    if (row_count == 0) continue;
+    if (stats.count == 0) {
+      min_x = row_min;
+      max_x = row_max;
+      min_y = y;  // rows scanned bottom-up: the first hit is the bottom
+    } else {
+      min_x = std::min(min_x, row_min);
+      max_x = std::max(max_x, row_max);
+    }
+    max_y = y;
+    stats.count += row_count;
+    if (max_x - min_x + 1 > grid.w || max_y - min_y + 1 > grid.h) {
+      stats.spread = true;
+      return stats;
     }
   }
   if (stats.count > 0) {
@@ -238,50 +272,6 @@ int subtract_rect(const Rect& a, const Rect& b, Rect out[4]) {
   return count;
 }
 
-/// One orientation's bad-count grid from the occupancy counts via
-/// sliding footprint-window sums over the "covered by at least one
-/// neighbour" indicator: `bad` holds the occupied-cell count under
-/// every anchor (0 = valid). Full builds only — proposals patch the
-/// grid incrementally.
-void sliding_grids_into(const Matrix<std::uint16_t>& occupancy,
-                        FtiIncrementalEvaluator::OrientationGrid& grid,
-                        Matrix<int>& row_sums, std::vector<int>& column_acc) {
-  const int grid_w = occupancy.width();
-  const int grid_h = occupancy.height();
-  const int w = grid.w;
-  const int h = grid.h;
-  grid.bad.reset(grid_w, grid_h, 0);
-  if (w > grid_w || h > grid_h) return;  // no anchor fits
-
-  row_sums.reset(grid_w, grid_h, 0);
-  for (int y = 0; y < grid_h; ++y) {
-    int sum = 0;
-    for (int x = 0; x < w; ++x) sum += occupancy.at(x, y) > 0 ? 1 : 0;
-    row_sums.at(0, y) = sum;
-    for (int x = 1; x + w <= grid_w; ++x) {
-      sum += (occupancy.at(x + w - 1, y) > 0 ? 1 : 0) -
-             (occupancy.at(x - 1, y) > 0 ? 1 : 0);
-      row_sums.at(x, y) = sum;
-    }
-  }
-  column_acc.assign(static_cast<std::size_t>(grid_w), 0);
-  for (int y = 0; y < grid_h; ++y) {
-    for (int x = 0; x + w <= grid_w; ++x) {
-      column_acc[static_cast<std::size_t>(x)] += row_sums.at(x, y);
-      if (y >= h) {
-        column_acc[static_cast<std::size_t>(x)] -= row_sums.at(x, y - h);
-      }
-    }
-    if (y + 1 >= h) {
-      const int ay = y + 1 - h;
-      for (int x = 0; x + w <= grid_w; ++x) {
-        grid.bad.at(x, ay) =
-            static_cast<std::uint16_t>(column_acc[static_cast<std::size_t>(x)]);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void FtiIncrementalEvaluator::build_module(const Placement& placement,
@@ -289,11 +279,12 @@ void FtiIncrementalEvaluator::build_module(const Placement& placement,
   // The occupancy counts are built exactly like evaluate_fti's region
   // grid — every temporal neighbour's footprint, same clipping — just
   // over the shared, region-covering domain. Region bounds are applied
-  // by the clamped count/extreme queries.
+  // by the clamped anchor scans.
   ModuleGrids& grids = queries_[static_cast<std::size_t>(index)];
   const int grid_w = domain_.width;
   const int grid_h = domain_.height;
   grids.occupancy.reset(grid_w, grid_h, 0);
+  grids.occupied.reset((grid_w + 63) / 64, grid_h, 0);
   for (const int neighbor : neighbors_[static_cast<std::size_t>(index)]) {
     Rect fp = placement.module(neighbor).footprint();
     fp.x -= domain_.x;
@@ -302,6 +293,7 @@ void FtiIncrementalEvaluator::build_module(const Placement& placement,
     for (int y = clipped.y; y < clipped.top(); ++y) {
       for (int x = clipped.x; x < clipped.right(); ++x) {
         ++grids.occupancy.at(x, y);
+        grids.occupied.at(x / 64, y) |= cell_bit(x);
       }
     }
   }
@@ -313,8 +305,6 @@ void FtiIncrementalEvaluator::build_module(const Placement& placement,
     OrientationGrid& grid = grids.orientations[o];
     grid.w = o == 0 ? w : h;
     grid.h = o == 0 ? h : w;
-    sliding_grids_into(grids.occupancy, grid, build_scratch_.row_sums,
-                       build_scratch_.column_acc);
   }
 }
 
@@ -331,34 +321,17 @@ void FtiIncrementalEvaluator::apply_move_delta(int mover, const Rect& from,
 
   for (const int neighbor : neighbors_[static_cast<std::size_t>(mover)]) {
     ModuleGrids& grids = queries_[static_cast<std::size_t>(neighbor)];
-    const int grid_w = grids.occupancy.width();
-    const int grid_h = grids.occupancy.height();
-    const Rect bounds{0, 0, grid_w, grid_h};
+    const Rect bounds{0, 0, grids.occupancy.width(),
+                      grids.occupancy.height()};
 
-    // A cell crossing between covered and free relaxes or constrains
-    // every anchor whose footprint contains it: a w-by-h patch of bad
-    // counts, applied with pointer rows — the delta engine's innermost
-    // FTI loop. Validity is re-read by the next derive, so no further
-    // bookkeeping happens here.
-    const auto flip_cell = [&](int x, int y, bool now_occupied) {
+    // A cell crossing between covered and free flips its occupancy bit —
+    // the delta engine's innermost FTI step. Anchor validity is re-read
+    // from the bits by the next derive, so nothing else happens here.
+    const auto flip_cell = [&](int x, int y) {
       if (touch_stamp != 0) {
         visit_stamp_[static_cast<std::size_t>(neighbor)] = touch_stamp;
       }
-      for (int o = 0; o < grids.orientation_count; ++o) {
-        OrientationGrid& grid = grids.orientations[o];
-        const int x1 = std::max(0, x - grid.w + 1);
-        const int x2 = std::min(x, grid_w - grid.w);
-        const int y1 = std::max(0, y - grid.h + 1);
-        const int y2 = std::min(y, grid_h - grid.h);
-        const std::uint16_t delta =
-            now_occupied ? 1 : static_cast<std::uint16_t>(-1);
-        for (int ay = y1; ay <= y2; ++ay) {
-          std::uint16_t* bad_row = &grid.bad.at(0, ay);
-          for (int ax = x1; ax <= x2; ++ax) {
-            bad_row[ax] = static_cast<std::uint16_t>(bad_row[ax] + delta);
-          }
-        }
-      }
+      grids.occupied.at(x / 64, y) ^= cell_bit(x);
     };
     const auto patch = [&](const Rect& rect_abs, bool adding) {
       Rect local = rect_abs;
@@ -370,9 +343,9 @@ void FtiIncrementalEvaluator::apply_move_delta(int mover, const Rect& from,
         for (int x = local.x; x < local.right(); ++x) {
           std::uint16_t& count = occupancy_row[x];
           if (adding) {
-            if (count++ == 0) flip_cell(x, y, /*now_occupied=*/true);
+            if (count++ == 0) flip_cell(x, y);
           } else {
-            if (--count == 0) flip_cell(x, y, /*now_occupied=*/false);
+            if (--count == 0) flip_cell(x, y);
           }
         }
       }
@@ -383,7 +356,7 @@ void FtiIncrementalEvaluator::apply_move_delta(int mover, const Rect& from,
 }
 
 FtiIncrementalEvaluator::ModuleBlock FtiIncrementalEvaluator::derive_stats(
-    int index) const {
+    int index) {
   const ModuleGrids& grids = queries_[static_cast<std::size_t>(index)];
   ModuleBlock stats;
   bool any_anchor = false;
@@ -400,8 +373,9 @@ FtiIncrementalEvaluator::ModuleBlock FtiIncrementalEvaluator::derive_stats(
       continue;
     }
     const OrientationGrid& grid = grids.orientations[o];
-    const AnchorStats scanned = scan_anchors(
-        grid, domain_, anchor_clamp(region_, grid.w, grid.h));
+    const AnchorStats scanned =
+        scan_anchors(grids, grid, domain_,
+                     anchor_clamp(region_, grid.w, grid.h), scan_row_);
     // An orientation without region-valid anchors offers no relocation at
     // all; it constrains the blocked-cell intersection with "everything".
     if (scanned.count == 0 && !scanned.spread) {
@@ -555,9 +529,8 @@ void FtiIncrementalEvaluator::update(const Placement& placement,
     return;
   }
 
-  const Rect old_region = region_;
+  const bool region_changed = !(region == region_);
   region_ = region;
-  const bool region_changed = !(region == old_region);
 
   backup.moved_count = moved_count;
   const std::uint64_t touch_stamp = ++stamp_;
@@ -609,7 +582,6 @@ void FtiIncrementalEvaluator::update(const Placement& placement,
   // box leaves the anchor sets — and so the stats — exactly as derived;
   // only the footprint clip can move the block. Everything else pays
   // one derive (a clamp scan per orientation).
-  (void)old_region;
   for (int index = 0; index < count; ++index) {
     const std::size_t i = static_cast<std::size_t>(index);
     if (visit_stamp_[i] == refresh_stamp) continue;

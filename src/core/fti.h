@@ -79,8 +79,7 @@ bool is_cell_covered_reference(const Placement& placement, Point cell,
 /// Per-orientation relocation query data for one module: a summed-area
 /// table over the valid-anchor grid, answering "can this module relocate
 /// avoiding a fault at `cell`?" in O(1). Built once per (module, region,
-/// neighbour-footprint) configuration; the incremental evaluator below
-/// caches these so a move re-derives only the queries it invalidated.
+/// neighbour-footprint) configuration by `evaluate_fti`.
 struct OrientationQuery {
   int w = 0;
   int h = 0;
@@ -96,31 +95,12 @@ struct OrientationQuery {
   bool relocatable_avoiding(Point cell) const;
 };
 
-/// Reusable intermediates of one relocation-query build (the retained
-/// OrientationQuery prefix sums are freshly allocated; everything else is
-/// recycled across builds). The incremental evaluator reuses the
-/// occupancy grid and the sliding-window buffers; the public
-/// `build_relocation_queries` uses the occupancy prefix sums.
-struct FtiBuildScratch {
-  Matrix<std::uint8_t> occupied;
-  PrefixSum2D occupied_sums;
-  Matrix<int> row_sums;        ///< horizontal footprint-window sums
-  std::vector<int> column_acc; ///< vertical sliding accumulator
-};
-
 /// Builds the queries (one or two orientations) for module `index` of
 /// `placement` over `region` — the per-module unit of work `evaluate_fti`
-/// performs for every module on every call, and exactly what the
-/// incremental evaluator caches.
+/// performs for every module on every call.
 std::vector<OrientationQuery> build_relocation_queries(
     const Placement& placement, int index, const Rect& region,
     const FtiOptions& options);
-
-/// Same, with caller-owned scratch buffers (the incremental evaluator's
-/// hot path: several builds per annealing proposal).
-std::vector<OrientationQuery> build_relocation_queries(
-    const Placement& placement, int index, const Rect& region,
-    const FtiOptions& options, FtiBuildScratch& scratch);
 
 /// Caches per-module relocation state — and the per-cell coverage state
 /// derived from it — across annealing proposals.
@@ -131,10 +111,11 @@ std::vector<OrientationQuery> build_relocation_queries(
 /// time-overlaps — not on the region and not on the module's own
 /// position. They are never rebuilt on the hot path: a move patches
 /// exactly the cells of the moved footprints' symmetric difference into
-/// each temporal neighbour's occupancy counts and cascades 0-crossings
-/// into the per-anchor bad-cell counts beneath them — O(dirty) integer
-/// increments, all exactly invertible on revert. Region bounds are
-/// applied at derive time with clamped anchor scans, which
+/// each temporal neighbour's occupancy counts, and a count crossing 0
+/// flips that cell's bit in the neighbour's occupancy bitboard — O(dirty)
+/// integer increments and bit flips, all exactly invertible on revert.
+/// Valid anchors are never stored: a derive reads them off the bitboard
+/// 64 columns per word, clamped to the region, which
 /// test_fti/test_incremental_cost pin to be cell-for-cell identical to
 /// `evaluate_fti` over the region.
 ///
@@ -154,22 +135,24 @@ class FtiIncrementalEvaluator {
   explicit FtiIncrementalEvaluator(FtiOptions options = {})
       : options_(options) {}
 
-  /// One orientation's valid-anchor data over the shared domain: anchor
-  /// (x, y) is valid iff a w-by-h footprint there avoids every temporal
-  /// neighbour. `bad.at(x, y)` counts the occupied cells under that
-  /// footprint (0 = valid); a derive scans the region-clamped anchor
-  /// rectangle for count and extremes in one pass.
+  /// One orientation of the module: anchor (x, y) is valid iff a w-by-h
+  /// footprint there lies inside the domain and avoids every temporal
+  /// neighbour, i.e. covers no set bit of the module's `occupied`
+  /// bitboard. A derive computes the region-clamped valid anchors from
+  /// the bits row by row; no per-anchor state is kept.
   struct OrientationGrid {
     int w = 0;
     int h = 0;
-    Matrix<std::uint16_t> bad;  ///< occupied cells under each anchor
   };
 
-  /// One module's cached relocation state: how many temporal-neighbour
-  /// footprints cover each domain cell, and the anchor grids derived
-  /// from the "covered by at least one" indicator.
+  /// One module's cached relocation state over the domain: how many
+  /// temporal-neighbour footprints cover each cell, and the "covered by
+  /// at least one" indicator packed into a bitboard — row y holds domain
+  /// column x in bit x % 64 of word x / 64, as many words as the domain
+  /// width needs.
   struct ModuleGrids {
     Matrix<std::uint16_t> occupancy;  ///< neighbour footprints per cell
+    Matrix<std::uint64_t> occupied;   ///< occupancy > 0, one bit per cell
     int orientation_count = 0;
     OrientationGrid orientations[2];
   };
@@ -260,14 +243,14 @@ class FtiIncrementalEvaluator {
   /// footprint change `from` -> `to` (the exact inverse of the swapped
   /// call). Neighbours whose occupancy actually crossed between covered
   /// and free are marked with `touch_stamp` in `visit_stamp_` — the
-  /// others' anchor grids are bit-identical and need no re-derive.
+  /// others' bitboards are unchanged and need no re-derive.
   void apply_move_delta(int mover, const Rect& from, const Rect& to,
                         std::uint64_t touch_stamp = 0);
 
   /// Derives module `index`'s anchor stats, core and `unrelocatable`
-  /// flag against the current region from its cached grids (count and
-  /// extremes from one clamp scan per orientation).
-  ModuleBlock derive_stats(int index) const;
+  /// flag against the current region from its occupancy bitboard (count
+  /// and extremes from one clamp scan per orientation).
+  ModuleBlock derive_stats(int index);
 
   /// Fills `block` of `stats` from its core against module `index`'s
   /// current footprint clipped to the region.
@@ -294,11 +277,10 @@ class FtiIncrementalEvaluator {
   Matrix<std::uint16_t> grid_;  ///< blocking-module counts per cell
   Rect grid_bounds_;            ///< absolute rect `grid_` covers
   long long blocked_ = 0;       ///< nonzero grid cells (all inside region)
-  /// Per-module visit stamps for one update()/preview() pass (refresh
-  /// dedup).
+  /// Per-module visit stamps for one update() pass (refresh dedup).
   std::vector<std::uint64_t> visit_stamp_;
   std::uint64_t stamp_ = 0;
-  FtiBuildScratch build_scratch_;
+  std::vector<std::uint64_t> scan_row_;  ///< anchor-scan row words
 };
 
 }  // namespace dmfb

@@ -36,9 +36,23 @@ Schedule mixed_schedule(int modules, Rng& rng) {
   return s;
 }
 
+/// The canvas an input is drawn on.
+struct Canvas {
+  int width = 0;
+  int height = 0;
+};
+
+/// Rows fit one 64-cell bitboard word.
+constexpr Canvas kSmall{16, 16};
+/// Rows span three bitboard words (see random_input).
+constexpr Canvas kWide{140, 12};
+
+bool is_wide(Canvas canvas) { return canvas.width > 128; }
+
 /// A placement with every anchor randomized (in canvas, any orientation).
-Placement random_placement(const Schedule& schedule, int canvas, Rng& rng) {
-  Placement p(schedule, canvas, canvas);
+Placement random_placement(const Schedule& schedule, Canvas canvas,
+                           Rng& rng) {
+  Placement p(schedule, canvas.width, canvas.height);
   MoveOptions scatter;
   scatter.single_move_probability = 1.0;
   scatter.rotate_probability = 0.5;
@@ -47,6 +61,37 @@ Placement random_placement(const Schedule& schedule, int canvas, Rng& rng) {
     apply_random_move(p, 1.0, scatter, rng);
   }
   return p;
+}
+
+/// A scattered placement of `modules` mixed modules on `canvas`. On the
+/// wide canvas the schedule gains two modules wider than 64 cells (66
+/// and 126 functional columns) that time-overlap everyone, and they and
+/// two small modules start across the 64- and 128-column word
+/// boundaries.
+Placement random_input(int modules, Canvas canvas, Rng& rng) {
+  Schedule schedule = mixed_schedule(modules, rng);
+  if (!is_wide(canvas)) return random_placement(schedule, canvas, rng);
+  for (const int width : {66, 126}) {
+    const int op = static_cast<int>(schedule.modules().size());
+    const std::string id = std::to_string(op);
+    const ModuleSpec spec{"w" + id, ModuleKind::kMixer, width, 1, 40.0};
+    schedule.add(ScheduledModule{op, "W" + id, spec, 0.0, 40.0, -1, -1});
+  }
+  Placement p = random_placement(schedule, canvas, rng);
+  p.set_position(modules, Point{62, 4}, false);      // columns 62..129
+  p.set_position(modules + 1, Point{1, 0}, false);   // columns 1..128
+  p.set_position(0, Point{62, 6}, false);            // across column 64
+  p.set_position(1, Point{126, 6}, false);           // across column 128
+  return p;
+}
+
+/// Default moves, without rotations on the wide canvas: a module wider
+/// than 64 cells turned upright would stretch the region some hundred
+/// rows above the 12-row canvas.
+MoveOptions moves_on(Canvas canvas) {
+  MoveOptions moves;
+  if (is_wide(canvas)) moves.rotate_probability = 0.0;
+  return moves;
 }
 
 void expect_matches_evaluator(const IncrementalPlacementState& state,
@@ -67,10 +112,9 @@ void expect_matches_evaluator(const IncrementalPlacementState& state,
 /// Random move sequence with random commit/revert decisions; the tracked
 /// cost must equal a fresh evaluation after every step.
 void run_cross_check(double beta, std::vector<Point> defects,
-                     std::uint64_t seed) {
+                     std::uint64_t seed, Canvas canvas) {
   Rng rng(seed);
-  const Schedule schedule = mixed_schedule(8, rng);
-  const Placement initial = random_placement(schedule, 16, rng);
+  const Placement initial = random_input(8, canvas, rng);
 
   CostWeights weights;
   weights.beta = beta;
@@ -80,7 +124,7 @@ void run_cross_check(double beta, std::vector<Point> defects,
   IncrementalPlacementState state(initial, evaluator);
   expect_matches_evaluator(state, evaluator);
 
-  MoveOptions moves;  // defaults: displacements, swaps and rotations
+  const MoveOptions moves = moves_on(canvas);
   for (int step = 0; step < 200; ++step) {
     const double fraction = 1.0 - static_cast<double>(step) / 200.0;
     const PlacementMove move =
@@ -103,19 +147,25 @@ void run_cross_check(double beta, std::vector<Point> defects,
 }
 
 TEST(IncrementalCostTest, TracksEvaluatorAreaOnly) {
-  run_cross_check(/*beta=*/0.0, {}, /*seed=*/11);
-  run_cross_check(/*beta=*/0.0, {}, /*seed=*/12);
+  run_cross_check(/*beta=*/0.0, {}, /*seed=*/11, kSmall);
+  run_cross_check(/*beta=*/0.0, {}, /*seed=*/12, kSmall);
 }
 
 TEST(IncrementalCostTest, TracksEvaluatorWithFti) {
-  run_cross_check(/*beta=*/30.0, {}, /*seed=*/21);
-  run_cross_check(/*beta=*/30.0, {}, /*seed=*/22);
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/21, kSmall);
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/22, kSmall);
 }
 
 TEST(IncrementalCostTest, TracksEvaluatorWithDefects) {
   const std::vector<Point> defects{{3, 3}, {7, 2}, {12, 12}, {3, 3}};
-  run_cross_check(/*beta=*/0.0, defects, /*seed=*/31);
-  run_cross_check(/*beta=*/30.0, defects, /*seed=*/32);
+  run_cross_check(/*beta=*/0.0, defects, /*seed=*/31, kSmall);
+  run_cross_check(/*beta=*/30.0, defects, /*seed=*/32, kSmall);
+}
+
+TEST(IncrementalCostTest, TracksEvaluatorWithFtiOnWideCanvas) {
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/23, kWide);
+  run_cross_check(/*beta=*/30.0, {{63, 5}, {64, 5}, {128, 1}}, /*seed=*/33,
+                  kWide);
 }
 
 void expect_identical_outcomes(const PlacementOutcome& copy,
@@ -144,17 +194,20 @@ void expect_identical_outcomes(const PlacementOutcome& copy,
 /// Seed-for-seed equivalence of the copying oracle and the delta engine
 /// over a shortened (but real) annealing run.
 void run_engine_equivalence(double beta, std::vector<Point> defects,
-                            std::uint64_t seed) {
+                            std::uint64_t seed, Canvas canvas) {
   Rng rng(seed);
-  const Schedule schedule = mixed_schedule(7, rng);
-  const Placement initial = random_placement(schedule, 16, rng);
+  const Placement initial = random_input(7, canvas, rng);
 
   PlacerContext options;
-  options.canvas_width = 16;
-  options.canvas_height = 16;
+  options.canvas_width = canvas.width;
+  options.canvas_height = canvas.height;
+  options.moves = moves_on(canvas);
   options.annealing.initial_temperature = 200.0;
   options.annealing.cooling_rate = 0.8;
-  options.annealing.iterations_per_module = 30;
+  // The copy oracle re-evaluates FTI over the whole region per proposal,
+  // ~12x the cells on the wide canvas: fewer proposals per step there
+  // keep the sanitizer build fast.
+  options.annealing.iterations_per_module = is_wide(canvas) ? 8 : 30;
   options.annealing.min_temperature = 0.5;
   options.weights.beta = beta;
   options.defects = std::move(defects);
@@ -166,16 +219,21 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
 }
 
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedAreaOnly) {
-  run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/101);
-  run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/102);
+  run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/101, kSmall);
+  run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/102, kSmall);
 }
 
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithFti) {
-  run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/201);
+  run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/201, kSmall);
 }
 
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithDefects) {
-  run_engine_equivalence(/*beta=*/0.0, {{2, 2}, {9, 9}}, /*seed=*/301);
+  run_engine_equivalence(/*beta=*/0.0, {{2, 2}, {9, 9}}, /*seed=*/301,
+                         kSmall);
+}
+
+TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithFtiOnWideCanvas) {
+  run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/202, kWide);
 }
 
 TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
@@ -183,8 +241,7 @@ TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
   // and applying it must consume and produce exactly what the legacy
   // in-place mutation does.
   Rng seed_rng(7);
-  const Schedule schedule = mixed_schedule(6, seed_rng);
-  Placement a = random_placement(schedule, 16, seed_rng);
+  Placement a = random_input(6, kSmall, seed_rng);
   Placement b = a;
 
   MoveOptions moves;
@@ -206,16 +263,16 @@ TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
 }
 
 /// The coverage-grid audit (the per-cell counterpart of
-/// run_cross_check): 300+ random moves with random commit/revert
+/// run_cross_check): `steps` random moves with random commit/revert
 /// decisions, pinning the incremental evaluator's per-cell coverage
 /// state against BOTH reference evaluators after every operation —
 /// `evaluate_fti`'s mask and the definition-faithful
 /// `is_cell_covered_reference` — including mid-proposal, where the
 /// eager state reflects the proposed placement.
-void run_coverage_audit(double beta, double gamma, std::uint64_t seed) {
+void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
+                        Canvas canvas, int steps) {
   Rng rng(seed);
-  const Schedule schedule = mixed_schedule(6, rng);
-  const Placement initial = random_placement(schedule, 12, rng);
+  const Placement initial = random_input(6, canvas, rng);
 
   CostWeights weights;
   weights.beta = beta;
@@ -259,12 +316,11 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed) {
     }
   };
 
-  MoveOptions moves;  // defaults: displacements, swaps and rotations
+  const MoveOptions moves = moves_on(canvas);
   audit_coverage("initial", -1);
-  const int kSteps = 320;
-  for (int step = 0; step < kSteps; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const double fraction =
-        1.0 - static_cast<double>(step) / static_cast<double>(kSteps);
+        1.0 - static_cast<double>(step) / static_cast<double>(steps);
     const PlacementMove move =
         generate_random_move(state.placement(), fraction, moves, rng);
     const double before = state.cost();
@@ -283,20 +339,35 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed) {
   }
 }
 
+/// Audit lengths: every step runs the definition-faithful reference on
+/// every region cell, so the wide canvas (~1,700 region cells against
+/// ~140) gets fewer steps to keep the sanitizer build fast.
+constexpr int kAuditSteps = 320;
+constexpr int kWideAuditSteps = 16;
+
 TEST(IncrementalCostTest, CoverageAuditAreaOnly) {
-  run_coverage_audit(/*beta=*/0.0, /*gamma=*/0.0, /*seed=*/401);
+  run_coverage_audit(/*beta=*/0.0, /*gamma=*/0.0, /*seed=*/401,
+                     Canvas{12, 12}, kAuditSteps);
 }
 
 TEST(IncrementalCostTest, CoverageAuditWithFti) {
-  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/402);
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/402,
+                     Canvas{12, 12}, kAuditSteps);
 }
 
 TEST(IncrementalCostTest, CoverageAuditWithFtiAndRoutePressure) {
-  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.05, /*seed=*/403);
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.05, /*seed=*/403,
+                     Canvas{12, 12}, kAuditSteps);
 }
 
 TEST(IncrementalCostTest, CoverageAuditRoutePressureOnly) {
-  run_coverage_audit(/*beta=*/0.0, /*gamma=*/0.05, /*seed=*/404);
+  run_coverage_audit(/*beta=*/0.0, /*gamma=*/0.05, /*seed=*/404,
+                     Canvas{12, 12}, kAuditSteps);
+}
+
+TEST(IncrementalCostTest, CoverageAuditWithFtiOnWideCanvas) {
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/405, kWide,
+                     kWideAuditSteps);
 }
 
 TEST(IncrementalCostTest, ProposeRandomMatchesGenerateThenPropose) {
@@ -307,8 +378,7 @@ TEST(IncrementalCostTest, ProposeRandomMatchesGenerateThenPropose) {
   // (portfolio results are not the "sa" placement, so a drift between the
   // two generators would otherwise go unnoticed).
   Rng seed_rng(55);
-  const Schedule schedule = mixed_schedule(7, seed_rng);
-  const Placement initial = random_placement(schedule, 16, seed_rng);
+  const Placement initial = random_input(7, kSmall, seed_rng);
   CostWeights weights;
   weights.beta = 30.0;
   CostEvaluator evaluator(weights);
