@@ -46,7 +46,8 @@ inline void emit_json_line(const std::string& name, const std::string& placer,
 /// test oracle). `identical_best` records whether the delta engine
 /// reproduced the copy oracle's placement anchor for anchor — its
 /// contract. The stats
-/// fields attribute where proposal time goes: acceptance counts plus
+/// fields attribute where proposal time goes: acceptance counts,
+/// proposals rejected on their delta's floor before FTI was priced, plus
 /// per-move-kind proposal/acceptance tallies.
 inline void emit_engine_json_line(const std::string& name,
                                   const std::string& engine, double beta,
@@ -62,6 +63,7 @@ inline void emit_engine_json_line(const std::string& name,
             << ",\"proposals\":" << stats.proposals
             << ",\"accepted\":" << stats.accepted
             << ",\"uphill_accepted\":" << stats.uphill_accepted
+            << ",\"bound_rejected\":" << stats.bound_rejected
             << ",\"moves\":{";
   for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
     std::cout << (k == 0 ? "" : ",") << "\""

@@ -24,9 +24,10 @@
 //
 // It exits non-zero when the delta engine is slower than the copy
 // oracle or their final placements differ anywhere — including at any
-// swept size — or when the portfolio at N >= 4 replicas fails to reach
-// the N = 1 target in fewer temperature steps than the N = 1 run did:
-// the CI shape checks.
+// swept size — when the LTSA beta = 30 delta run rejects no proposal on
+// its delta's floor (before pricing FTI), or when the portfolio at
+// N >= 4 replicas fails to reach the N = 1 target in fewer temperature
+// steps than the N = 1 run did: the CI shape checks.
 // `--smoke` shrinks the schedules, sweep and race instance and skips the
 // microbenchmarks (CI Release job).
 #include <benchmark/benchmark.h>
@@ -72,11 +73,14 @@ bool same_placement(const Placement& a, const Placement& b) {
 
 /// Runs the delta engine and the copying oracle on one configuration,
 /// emits their JSON lines, and returns whether the delta engine held its
-/// contract (identical best placement, no slower than the oracle). Runs
-/// are interleaved and each side reports its best proposals/sec of
-/// `rounds` runs, so CPU frequency drift biases no side.
+/// contract (identical best placement, no slower than the oracle, and —
+/// with `expect_bound_rejects` — some proposals rejected on their
+/// delta's floor, a work counter that repeats exactly). Runs are
+/// interleaved and each side reports its best proposals/sec of `rounds`
+/// runs, so CPU frequency drift biases no side.
 bool compare_engines(const char* label, const Placement& initial,
-                     const PlacerContext& options, int rounds) {
+                     const PlacerContext& options, int rounds,
+                     bool expect_bound_rejects) {
   PlacementOutcome copy = anneal_copy(initial, options);
   PlacementOutcome delta = anneal_from(initial, options);
   for (int round = 1; round < rounds; ++round) {
@@ -109,7 +113,9 @@ bool compare_engines(const char* label, const Placement& initial,
             << "x (copy " << copy.stats.proposals_per_second
             << " proposals/s, delta " << delta.stats.proposals_per_second
             << " proposals/s), placements "
-            << (identical ? "identical" : "DIFFER") << "\n";
+            << (identical ? "identical" : "DIFFER") << ", "
+            << delta.stats.bound_rejected << " of "
+            << delta.stats.proposals << " proposals rejected on a floor\n";
 
   bool ok = true;
   if (!identical) {
@@ -122,6 +128,11 @@ bool compare_engines(const char* label, const Placement& initial,
     std::cerr << "SHAPE CHECK FAILED: " << label
               << ": delta engine slower than the copy oracle (" << speedup
               << "x)\n";
+    ok = false;
+  }
+  if (expect_bound_rejects && delta.stats.bound_rejected <= 0) {
+    std::cerr << "SHAPE CHECK FAILED: " << label
+              << ": no proposal was rejected on its delta's floor\n";
     ok = false;
   }
   return ok;
@@ -143,7 +154,7 @@ bool run_comparison(bool smoke) {
     stage1.annealing.iterations_per_module = 25;
   }
   bool ok = compare_engines(smoke ? "fig7 (smoke)" : "fig7", initial, stage1,
-                            rounds);
+                            rounds, /*expect_bound_rejects=*/false);
 
   // Two-stage LTSA: beta > 0 exercises the incremental FTI coverage
   // state. Single displacements only, as in §6.2.
@@ -160,7 +171,8 @@ bool run_comparison(bool smoke) {
   ltsa.moves.single_move_probability = 1.0;
   ltsa.moves.rotate_probability = 0.0;
   ok = compare_engines(smoke ? "ltsa beta=30 (smoke)" : "ltsa beta=30",
-                       initial, ltsa, rounds) &&
+                       initial, ltsa, rounds,
+                       /*expect_bound_rejects=*/true) &&
        ok;
   return ok;
 }

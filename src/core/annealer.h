@@ -58,6 +58,9 @@ struct AnnealingStats {
   long long proposals = 0;
   long long accepted = 0;
   long long uphill_accepted = 0;
+  /// Proposals rejected on a floor of their delta, before its FTI term
+  /// was priced (see anneal_delta); a subset of the rejected ones.
+  long long bound_rejected = 0;
   /// Proposal and acceptance tallies per generation move kind, so bench
   /// JSON can attribute where proposal time goes.
   long long proposals_by_kind[kMoveKindSlots] = {0, 0, 0, 0};
@@ -97,18 +100,82 @@ inline void finish_stats(AnnealingStats& stats,
           : 0.0;
 }
 
+/// The Metropolis test for a delta >= 0 at temperature > 0 and draw `r`
+/// in [0, 1): accept when r < exp(-delta / T). exp() is skipped where
+/// its value is known: a zero delta always accepts (r < exp(0) = 1), and
+/// below -746 exp() is exactly 0.0 (the subnormal floor is at ~-745.13;
+/// cutting higher would drop the oracle's accept on an exactly-zero draw
+/// against a subnormal exp value).
+inline bool metropolis_accepts(double delta, double temperature, double r) {
+  if (delta == 0.0) return true;
+  const double exponent = -delta / temperature;
+  return exponent > -746.0 && r < std::exp(exponent);
+}
+
+/// Whether draw `r` rejects every delta >= `floor` (floor > 0,
+/// temperature > 0) — decided from the floor alone. -delta / T is
+/// monotone in delta under IEEE rounding, and exp() is monotone to well
+/// within the 1e-12 relative margin wherever its value is normal; where
+/// it is subnormal or zero, only r = 0 could still accept, and that case
+/// is left to the exact test.
+inline bool floor_rejects(double floor, double temperature, double r) {
+  const double exponent = -floor / temperature;
+  return exponent <= -746.0 ||
+         (r > 0.0 && r >= std::exp(exponent) * (1.0 + 1e-12));
+}
+
+/// Accept (true) or reject one proposal priced at `delta` — the exact
+/// delta when `problem.exact()`, else a floor on it that
+/// `problem.resolve()` replaces by the exact delta. `draw()` yields the
+/// Metropolis variate and is called exactly when the copying oracle
+/// draws one (delta >= 0 and T > 0), so the stream is unchanged. A
+/// floor > 0 implies the exact delta is > 0, so the draw is due: it is
+/// taken first, and when it rejects every delta >= the floor the
+/// proposal is rejected unresolved (counted in `bound_rejected`);
+/// otherwise the exact delta decides on the same draw.
+template <typename Problem, typename Draw>
+bool metropolis_decide(Problem& problem, double delta,
+                       double temperature, Draw&& draw,
+                       AnnealingStats& stats) {
+  if (!problem.exact()) {
+    if (delta > 0.0 && temperature > 0.0) {
+      const double r = draw();
+      if (floor_rejects(delta, temperature, r)) {
+        ++stats.bound_rejected;
+        return false;
+      }
+      const bool accept =
+          metropolis_accepts(problem.resolve(), temperature, r);
+      if (accept) ++stats.uphill_accepted;
+      return accept;
+    }
+    delta = problem.resolve();
+  }
+  if (delta < 0.0) return true;
+  if (!(temperature > 0.0)) return false;
+  const bool accept = metropolis_accepts(delta, temperature, draw());
+  if (accept) ++stats.uphill_accepted;
+  return accept;
+}
+
 }  // namespace detail
 
 /// The annealing loop over an in-place state: the state lives behind the
-/// problem's callbacks (e.g. an IncrementalPlacementState), is mutated by
+/// problem's callbacks (e.g. an IncrementalPlacementState), is priced by
 /// `propose_delta(temperature_fraction, rng)` — which returns the cost
-/// delta — and then either kept (`commit()`, returning the new absolute
-/// cost recomputed from the state's tallies, so no drift accumulates) or
-/// rolled back (`revert()`). `recordable()` says whether the committed
-/// state may be the answer; `record_best(cost)` snapshots it when it is
-/// the best recordable one seen (one copy per improvement, not one per
-/// proposal). `Problem` is a struct of concrete lambdas (as sa_placer.cpp
-/// builds) so the callbacks inline into the loop.
+/// delta when `exact()`, else a floor on it that `resolve()` replaces by
+/// the exact delta — and then either kept (`commit()`, returning the new
+/// absolute cost recomputed from the state's tallies, so no drift
+/// accumulates) or rolled back (`revert()`). `recordable()` says whether
+/// the committed state may be the answer; `record_best(cost)` snapshots
+/// it when it is the best recordable one seen (one copy per improvement,
+/// not one per proposal). `Problem` is a struct of concrete lambdas (as
+/// sa_placer.cpp builds) so the callbacks inline into the loop.
+///
+/// The Metropolis draw may come before the FTI term is priced: a
+/// positive floor makes it due anyway, and a draw that rejects the floor
+/// rejects the proposal unresolved (detail::metropolis_decide). Draws,
+/// decisions and best states are those of resolving every proposal.
 ///
 /// Given a bit-exact delta evaluator and the same seed, the accept/reject
 /// trajectory, stats and best state are identical to the per-proposal
@@ -140,23 +207,9 @@ double anneal_delta(double initial_cost, const Problem& problem,
     for (int i = 0; i < inner_iterations; ++i) {
       const double delta = problem.propose_delta(fraction, rng);
       ++stats.proposals;
-      bool accept = delta < 0.0;
-      if (!accept && temperature > 0.0) {
-        // The Metropolis draw always happens (stream compatibility with
-        // the copying oracle), but exp() is skipped where its value is
-        // known: a zero delta always accepts (r < exp(0) = 1 for r in
-        // [0, 1)), and below -746 exp() is exactly 0.0 (the subnormal
-        // floor is at ~-745.13; cutting higher would drop the oracle's
-        // accept on an exactly-zero draw against a subnormal exp value).
-        const double r = rng.next_double();
-        if (delta == 0.0) {
-          accept = true;
-        } else {
-          const double exponent = -delta / temperature;
-          accept = exponent > -746.0 && r < std::exp(exponent);
-        }
-        if (accept) ++stats.uphill_accepted;
-      }
+      const bool accept = detail::metropolis_decide(
+          problem, delta, temperature, [&rng] { return rng.next_double(); },
+          stats);
       if (accept) {
         current_cost = problem.commit();
         ++stats.accepted;

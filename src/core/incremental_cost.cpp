@@ -1,6 +1,9 @@
 #include "core/incremental_cost.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
+#include <utility>
 
 namespace dmfb {
 
@@ -75,7 +78,6 @@ IncrementalPlacementState::IncrementalPlacementState(
   outside_.assign(static_cast<std::size_t>(count), false);
   for (int i = 0; i < count; ++i) {
     const Rect& fp = footprints_[static_cast<std::size_t>(i)];
-    if (weights_.beta != 0.0) insert_extents(fp);
     module_defect_hits_[static_cast<std::size_t>(i)] = defect_hits(fp);
     defect_total_ += module_defect_hits_[static_cast<std::size_t>(i)];
     if (!fp.within_bounds(placement_.canvas_width(),
@@ -211,29 +213,6 @@ long long IncrementalPlacementState::defect_hits(const Rect& footprint) const {
   return at(x2, y2) - at(x1, y2) - at(x2, y1) + at(x1, y1);
 }
 
-Rect IncrementalPlacementState::bounding_box_from_extents() const {
-  if (lefts_.empty()) return Rect{};
-  const int left = lefts_.min();
-  const int right = rights_.max();
-  const int bottom = bottoms_.min();
-  const int top = tops_.max();
-  return Rect{left, bottom, right - left, top - bottom};
-}
-
-void IncrementalPlacementState::erase_extents(const Rect& footprint) {
-  lefts_.erase(footprint.x);
-  rights_.erase(footprint.right());
-  bottoms_.erase(footprint.y);
-  tops_.erase(footprint.top());
-}
-
-void IncrementalPlacementState::insert_extents(const Rect& footprint) {
-  lefts_.insert(footprint.x);
-  rights_.insert(footprint.right());
-  bottoms_.insert(footprint.y);
-  tops_.insert(footprint.top());
-}
-
 double IncrementalPlacementState::propose(const PlacementMove& move) {
   // Clamped displacements frequently land exactly where the module
   // already is (window span 1 at low temperature); such a move changes
@@ -318,34 +297,25 @@ double IncrementalPlacementState::propose_known(const PlacementMove& move,
                                                 bool noop) {
   assert(!pending_.active);
 
+  Pending& pending = pending_;
+  pending.active = true;
+  pending.applied = false;
+  pending.new_pair_overlaps.clear();
+  pending.new_link_costs.clear();
+
   if (noop) {
-    Pending& pending = pending_;
-    pending.active = true;
-    pending.eager = false;
+    pending.exact = true;
     pending.move.kind = move.kind;  // telemetry: last_move_kind()
     pending.move.count = 0;
-    pending.new_pair_overlaps.clear();
-    pending.new_link_costs.clear();
-    pending.cand_overlap_total = overlap_total_;
-    pending.cand_defect_total = defect_total_;
-    pending.cand_pressure_total = pressure_total_;
-    pending.cand_outside_count = outside_count_;
-    pending.cand_bbox = bbox_;
-    pending.cand_value = value_;
+    pending.staged = Staged{overlap_total_, defect_total_, pressure_total_,
+                            outside_count_, bbox_, value_};
     return 0.0;
   }
 
-  if (weights_.beta != 0.0) return propose_eager(move);
-
-  // beta = 0 fast path: price the move against hypothetical footprints
-  // without touching placement or caches. commit() applies the staged
-  // values; revert() just drops them.
-  Pending& pending = pending_;
-  pending.active = true;
-  pending.eager = false;
+  // Price the move against hypothetical footprints without touching
+  // placement or caches. commit() applies the staged values; revert()
+  // just drops them.
   pending.move = move;
-  pending.new_pair_overlaps.clear();
-  pending.new_link_costs.clear();
 
   long long cand_overlap = overlap_total_;
   long long cand_defect = defect_total_;
@@ -464,155 +434,94 @@ double IncrementalPlacementState::propose_known(const PlacementMove& move,
     cand_bbox = Rect{left, bottom, right - left, top - bottom};
   }
 
-  pending.cand_overlap_total = cand_overlap;
-  pending.cand_defect_total = cand_defect;
-  pending.cand_pressure_total = cand_pressure;
-  pending.cand_outside_count = cand_outside;
-  pending.cand_bbox = cand_bbox;
-  pending.cand_value =
-      value_of(cand_bbox.area(), cand_overlap, cand_defect, 0.0,
-               cand_pressure);
-  return pending.cand_value - value_;
+  // FTI is priced at its best case (exact only when beta = 0, where the
+  // term vanishes): FTI lies in [0, 1], so this is a floor on the delta.
+  const double fti_best = weights_.beta > 0.0 ? 1.0 : 0.0;
+  pending.exact = weights_.beta == 0.0;
+  pending.staged =
+      Staged{cand_overlap, cand_defect, cand_pressure, cand_outside,
+             cand_bbox,
+             value_of(cand_bbox.area(), cand_overlap, cand_defect, fti_best,
+                      cand_pressure)};
+  return pending.staged.value - value_;
 }
 
-double IncrementalPlacementState::propose_eager(const PlacementMove& move) {
-  ++stamp_;
-
+template <bool kKeepOld>
+void IncrementalPlacementState::apply_staged() {
+  // `state` takes `staged`; with kKeepOld, `staged` takes the old value.
+  const auto take = [](auto& state, auto& staged) {
+    if constexpr (kKeepOld) {
+      std::swap(state, staged);
+    } else {
+      state = staged;
+    }
+  };
   Pending& pending = pending_;
-  pending.active = true;
-  pending.eager = true;
-  pending.move = move;
-  pending.old_overlap_total = overlap_total_;
-  pending.old_defect_total = defect_total_;
-  pending.old_pressure_total = pressure_total_;
-  pending.old_outside_count = outside_count_;
-  pending.old_covered = covered_cells_;
-  pending.old_bbox = bbox_;
-  pending.old_value = value_;
-  pending.old_pair_overlaps.clear();
-  pending.old_link_costs.clear();
-
-  for (int c = 0; c < move.count; ++c) {
-    const ModuleMove& change = move.changes[c];
+  for (int c = 0; c < pending.move.count; ++c) {
+    ModuleMove& change = pending.move.changes[c];
     const std::size_t idx = static_cast<std::size_t>(change.index);
-    const PlacedModule& m = placement_.module(change.index);
-    pending.old_modules[c] =
-        TouchedModule{change.index, m.anchor,
-                      m.rotated, outside_[idx],
-                      module_defect_hits_[idx], footprints_[idx]};
-
-    erase_extents(footprints_[idx]);
-    placement_.set_position(change.index, change.anchor, change.rotated);
-    const Rect fp = footprint_rect(m.spec, change.anchor, change.rotated);
-    footprints_[idx] = fp;
-    insert_extents(fp);
-
-    const bool outside = !fp.within_bounds(placement_.canvas_width(),
-                                           placement_.canvas_height());
-    if (outside != outside_[idx]) {
-      outside_count_ += outside ? 1 : -1;
-      outside_[idx] = outside;
+    if constexpr (kKeepOld) {
+      const PlacedModule& m = placement_.modules()[idx];
+      const ModuleMove previous{change.index, m.anchor, m.rotated};
+      placement_.set_position(change.index, change.anchor, change.rotated);
+      change = previous;
+      const bool outside = outside_[idx];
+      outside_[idx] = pending.new_outside[c];
+      pending.new_outside[c] = outside;
+    } else {
+      placement_.set_position(change.index, change.anchor, change.rotated);
+      outside_[idx] = pending.new_outside[c];
     }
-
-    if (!defects_.empty()) {
-      const long long hits = defect_hits(fp);
-      defect_total_ += hits - module_defect_hits_[idx];
-      module_defect_hits_[idx] = hits;
-    }
+    take(module_defect_hits_[idx], pending.new_defect_hits[c]);
   }
-
-  // Re-price only the conflicting pairs a touched module participates in
-  // (stamped so a pair shared by both touched modules updates once, after
-  // both footprints moved).
-  for (int c = 0; c < move.count; ++c) {
-    const std::size_t module = static_cast<std::size_t>(move.changes[c].index);
-    const int begin = pair_offsets_[module];
-    const int end = pair_offsets_[module + 1];
-    for (int a = begin; a < end; ++a) {
-      const int p = pair_adjacency_[static_cast<std::size_t>(a)];
-      PairEntry& entry = pair_entries_[static_cast<std::size_t>(p)];
-      if (pair_stamp_[static_cast<std::size_t>(p)] == stamp_) continue;
-      pair_stamp_[static_cast<std::size_t>(p)] = stamp_;
-      const long long overlap =
-          footprints_[static_cast<std::size_t>(entry.i)].overlap_area(
-              footprints_[static_cast<std::size_t>(entry.j)]);
-      pending.old_pair_overlaps.emplace_back(p, entry.overlap);
-      overlap_total_ += overlap - entry.overlap;
-      entry.overlap = overlap;
-    }
+  for (auto& [p, overlap] : pending.new_pair_overlaps) {
+    take(pair_entries_[static_cast<std::size_t>(p)].overlap, overlap);
   }
-
-  // Re-price touched routing-pressure links in place (same stamp; the
-  // link stamps live in their own array, so reuse is safe).
-  if (!link_entries_.empty()) {
-    for (int c = 0; c < move.count; ++c) {
-      const std::size_t module =
-          static_cast<std::size_t>(move.changes[c].index);
-      const int begin = link_offsets_[module];
-      const int end = link_offsets_[module + 1];
-      for (int a = begin; a < end; ++a) {
-        const int p = link_adjacency_[static_cast<std::size_t>(a)];
-        LinkEntry& entry = link_entries_[static_cast<std::size_t>(p)];
-        if (link_stamp_[static_cast<std::size_t>(p)] == stamp_) continue;
-        link_stamp_[static_cast<std::size_t>(p)] = stamp_;
-        const long long cost = link_cost(entry);
-        pending.old_link_costs.emplace_back(p, entry.cost);
-        pressure_total_ += cost - entry.cost;
-        entry.cost = cost;
-      }
-    }
+  for (auto& [p, cost] : pending.new_link_costs) {
+    take(link_entries_[static_cast<std::size_t>(p)].cost, cost);
   }
+  Staged& staged = pending.staged;
+  take(overlap_total_, staged.overlap_total);
+  take(defect_total_, staged.defect_total);
+  take(pressure_total_, staged.pressure_total);
+  take(outside_count_, staged.outside_count);
+  take(bbox_, staged.bbox);
+  take(value_, staged.value);
+}
 
-  bbox_ = bounding_box_from_extents();
+double IncrementalPlacementState::resolve() {
+  Pending& pending = pending_;
+  assert(pending.active && !pending.exact);
 
-  if (weights_.beta != 0.0) {
-    // The evaluator patches exactly what the move touched: each moved
-    // footprint's symmetric difference dirties its temporal neighbours'
-    // occupancy/anchor grids, and the per-cell coverage state follows —
-    // O(dirty) integer increments, inverted bit-exactly by revert().
-    FtiIncrementalEvaluator::MovedModule fti_moves[2];
-    for (int c = 0; c < move.count; ++c) {
-      fti_moves[c].index = move.changes[c].index;
-      fti_moves[c].from = pending.old_modules[c].footprint;
-      fti_moves[c].to =
-          footprints_[static_cast<std::size_t>(move.changes[c].index)];
-    }
-    fti_.update(placement_, bbox_, fti_moves, move.count,
-                pending.fti_backup);
-    covered_cells_ = fti_.covered_cells();
+  // The staged tallies are exact for every term but FTI: apply them, then
+  // patch the evaluator with exactly what the move touched — each moved
+  // footprint's symmetric difference dirties its temporal neighbours'
+  // occupancy/anchor grids, and the per-cell coverage state follows.
+  // revert() inverts all of it bit-exactly.
+  apply_staged</*kKeepOld=*/true>();
+  pending.applied = true;
+  pending.exact = true;
+  FtiIncrementalEvaluator::MovedModule fti_moves[2];
+  for (int c = 0; c < pending.move.count; ++c) {
+    const int index = pending.move.changes[c].index;
+    fti_moves[c].index = index;
+    fti_moves[c].from = pending.old_footprints[c];
+    fti_moves[c].to = footprints_[static_cast<std::size_t>(index)];
   }
-
+  pending.old_covered = covered_cells_;
+  fti_.update(placement_, bbox_, fti_moves, pending.move.count,
+              pending.fti_backup);
+  covered_cells_ = fti_.covered_cells();
   value_ = value_from_tallies();
-  return value_ - pending.old_value;
+  return value_ - pending.staged.value;
 }
 
 double IncrementalPlacementState::commit() {
   Pending& pending = pending_;
   assert(pending.active);
+  if (!pending.exact) resolve();
   pending.active = false;
-  if (pending.eager) return value_;
-
-  // Lazy path: apply the staged move and candidate tallies (footprints_
-  // was already updated by propose()).
-  for (int c = 0; c < pending.move.count; ++c) {
-    const ModuleMove& change = pending.move.changes[c];
-    const std::size_t idx = static_cast<std::size_t>(change.index);
-    placement_.set_position(change.index, change.anchor, change.rotated);
-    outside_[idx] = pending.new_outside[c];
-    module_defect_hits_[idx] = pending.new_defect_hits[c];
-  }
-  for (const auto& [p, overlap] : pending.new_pair_overlaps) {
-    pair_entries_[static_cast<std::size_t>(p)].overlap = overlap;
-  }
-  for (const auto& [p, cost] : pending.new_link_costs) {
-    link_entries_[static_cast<std::size_t>(p)].cost = cost;
-  }
-  overlap_total_ = pending.cand_overlap_total;
-  defect_total_ = pending.cand_defect_total;
-  pressure_total_ = pending.cand_pressure_total;
-  outside_count_ = pending.cand_outside_count;
-  bbox_ = pending.cand_bbox;
-  value_ = pending.cand_value;
+  if (!pending.applied) apply_staged</*kKeepOld=*/false>();
   return value_;
 }
 
@@ -620,43 +529,17 @@ void IncrementalPlacementState::revert() {
   Pending& pending = pending_;
   assert(pending.active);
   pending.active = false;
-  if (!pending.eager) {
-    // Lazy proposals staged everything except the footprint cache.
-    // Reverse order, like the eager undo: were a move ever to touch one
-    // module twice, the first-saved (pre-move) footprint must win.
-    for (int c = pending.move.count - 1; c >= 0; --c) {
-      footprints_[static_cast<std::size_t>(pending.move.changes[c].index)] =
-          pending.old_footprints[c];
-    }
-    return;
-  }
-
-  for (int c = pending.move.count - 1; c >= 0; --c) {
-    const TouchedModule& old = pending.old_modules[c];
-    const std::size_t idx = static_cast<std::size_t>(old.index);
-    erase_extents(footprints_[idx]);
-    placement_.set_position(old.index, old.anchor, old.rotated);
-    footprints_[idx] = old.footprint;
-    insert_extents(old.footprint);
-    outside_[idx] = old.outside;
-    module_defect_hits_[idx] = old.defect_hits;
-  }
-  outside_count_ = pending.old_outside_count;
-  defect_total_ = pending.old_defect_total;
-  for (const auto& [p, overlap] : pending.old_pair_overlaps) {
-    pair_entries_[static_cast<std::size_t>(p)].overlap = overlap;
-  }
-  overlap_total_ = pending.old_overlap_total;
-  for (const auto& [p, cost] : pending.old_link_costs) {
-    link_entries_[static_cast<std::size_t>(p)].cost = cost;
-  }
-  pressure_total_ = pending.old_pressure_total;
-  bbox_ = pending.old_bbox;
-  if (weights_.beta != 0.0) {
+  if (pending.applied) {
     fti_.restore(pending.fti_backup);
     covered_cells_ = pending.old_covered;
+    apply_staged</*kKeepOld=*/true>();
   }
-  value_ = pending.old_value;
+  // Reverse order: were a move ever to touch one module twice, the
+  // first-saved (pre-move) footprint must win.
+  for (int c = pending.move.count - 1; c >= 0; --c) {
+    footprints_[static_cast<std::size_t>(pending.move.changes[c].index)] =
+        pending.old_footprints[c];
+  }
 }
 
 }  // namespace dmfb

@@ -12,20 +12,20 @@
 //
 //   * per-conflicting-pair overlap areas with a running total,
 //   * per-module defect-hit counts against a prefix-summed defect grid,
-//   * bounding-box extents via sorted coordinate multisets,
 //   * per-module FTI relocation queries (FtiIncrementalEvaluator),
 //   * per-RouteLink routing-pressure costs in CSR adjacency (gamma != 0),
 //
-// and exposes propose(move) -> delta, commit(), revert(). Every absolute
-// cost is recomputed from the maintained integer tallies with the exact
-// arithmetic of CostEvaluator::evaluate, so the delta engine's accept
-// decisions — and therefore its whole trajectory — are bit-identical to
-// the copying oracle's for the same seed (tests/test_incremental_cost.cpp
-// pins this against tests/support/copy_annealer.h).
+// and exposes propose(move) -> delta (or a floor on it), resolve(),
+// commit(), revert(). Every absolute cost is recomputed from the
+// maintained integer tallies with the exact arithmetic of
+// CostEvaluator::evaluate, so the delta engine's accept decisions — and
+// therefore its whole trajectory — are bit-identical to the copying
+// oracle's for the same seed (tests/test_incremental_cost.cpp pins this
+// against tests/support/copy_annealer.h).
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/cost.h"
@@ -35,74 +35,12 @@
 
 namespace dmfb {
 
-/// Sorted multiset of integer coordinates, specialized for the annealer's
-/// bounded range (canvas extents): a flat count histogram with cached
-/// min/max. insert/erase are allocation-free and O(1) amortized — erasing
-/// an extreme scans to the next occupied bucket, bounded by the canvas
-/// span — which is what keeps bounding-box maintenance off the delta
-/// engine's critical path (a node-allocating std::multiset measurably
-/// dominated it).
-class ExtentSet {
- public:
-  void insert(int value) {
-    ensure(value);
-    ++counts_[static_cast<std::size_t>(value - offset_)];
-    ++size_;
-    if (value < min_) min_ = value;
-    if (value > max_) max_ = value;
-  }
-
-  void erase(int value) {
-    --counts_[static_cast<std::size_t>(value - offset_)];
-    --size_;
-    if (size_ == 0) {
-      min_ = std::numeric_limits<int>::max();
-      max_ = std::numeric_limits<int>::min();
-      return;
-    }
-    if (value == min_) {
-      while (counts_[static_cast<std::size_t>(min_ - offset_)] == 0) ++min_;
-    }
-    if (value == max_) {
-      while (counts_[static_cast<std::size_t>(max_ - offset_)] == 0) --max_;
-    }
-  }
-
-  bool empty() const { return size_ == 0; }
-  int min() const { return min_; }  ///< undefined when empty
-  int max() const { return max_; }  ///< undefined when empty
-
- private:
-  /// Grows the histogram to cover `value` (with slack, so growth is rare).
-  void ensure(int value) {
-    if (counts_.empty()) {
-      offset_ = value - 8;
-      counts_.assign(64, 0);
-      return;
-    }
-    const int end = offset_ + static_cast<int>(counts_.size());
-    if (value >= offset_ && value < end) return;
-    const int new_offset = std::min(offset_, value - 8);
-    const int new_end = std::max(end, value + 8);
-    std::vector<int> grown(static_cast<std::size_t>(new_end - new_offset), 0);
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      grown[static_cast<std::size_t>(offset_ - new_offset) + i] = counts_[i];
-    }
-    counts_ = std::move(grown);
-    offset_ = new_offset;
-  }
-
-  std::vector<int> counts_;
-  int offset_ = 0;
-  int min_ = std::numeric_limits<int>::max();
-  int max_ = std::numeric_limits<int>::min();
-  int size_ = 0;
-};
-
 /// In-place move/undo placement state for delta-cost annealing. At most
-/// one proposal may be outstanding: propose() mutates the owned placement
-/// and returns the cost delta; commit() keeps it, revert() restores the
-/// previous state from the recorded undo data (no recomputation).
+/// one proposal may be outstanding. propose() prices a move without
+/// mutating the placement: every term but FTI exactly, and FTI — when
+/// beta != 0 — by its best case, so the returned value is a floor on
+/// the delta. resolve() prices the FTI term exactly (applying the move);
+/// commit() keeps the move, revert() drops it.
 class IncrementalPlacementState {
  public:
   /// Takes ownership of `placement` and prices it with `evaluator`'s
@@ -110,16 +48,17 @@ class IncrementalPlacementState {
   IncrementalPlacementState(Placement placement,
                             const CostEvaluator& evaluator);
 
-  /// The current committed placement. Between propose() and
-  /// commit()/revert() the content is unspecified (the beta = 0 fast path
-  /// prices a move without mutating anything; the FTI path mutates
-  /// eagerly) — resolve the proposal before reading it.
+  /// The committed placement — except between resolve() and
+  /// commit()/revert(), when it is the proposed one (propose() alone
+  /// leaves it untouched).
   const Placement& placement() const { return placement_; }
 
   /// Absolute cost of the committed placement; bit-identical to
-  /// CostEvaluator::evaluate(placement()).value.
+  /// CostEvaluator::evaluate(placement()).value. A pending proposal,
+  /// resolved or not, does not change it.
   double cost() const {
-    return pending_.active && pending_.eager ? pending_.old_value : value_;
+    return pending_.active && pending_.applied ? pending_.staged.value
+                                               : value_;
   }
 
   /// Cost decomposition from the maintained tallies (same fields as
@@ -142,29 +81,42 @@ class IncrementalPlacementState {
     return weights_.beta != 0.0 ? &fti_ : nullptr;
   }
 
-  /// Prices `move` and returns (new cost - old cost). With beta = 0 this
-  /// mutates nothing — the touched cost terms are re-derived against
-  /// hypothetical footprints, so a rejected proposal costs no writes at
-  /// all; with beta != 0 the state is mutated eagerly (the FTI cache
-  /// patch needs the moved placement) and undone by revert(). A
-  /// proposal must be resolved by commit() or revert() before the next
-  /// propose().
+  /// Prices `move` against hypothetical footprints without touching the
+  /// placement or any cache, so a rejected proposal costs no writes.
+  /// Returns (new cost - old cost) when exact(), else a floor on it: the
+  /// area, overlap, defect and route-pressure terms priced exactly with
+  /// FTI at its best case (1 when beta > 0, 0 when beta < 0). FTI lies
+  /// in [0, 1] and IEEE + - x round monotonically, so the floor is <= the
+  /// exact delta bit for bit. A proposal must be resolved by commit() or
+  /// revert() before the next propose().
   double propose(const PlacementMove& move);
 
   /// Draws one random move and prices it in a single fused pass — the
   /// portfolio replicas' proposal path. Consumes the same draws in the
   /// same order as `generate_random_move_with_span` followed by `propose`,
-  /// but skips the intermediate PlacementMove hand-off and the separate
-  /// no-op rescan (generation already knows whether the move lands
-  /// where the module stands). The generated kind is readable via
-  /// `last_move_kind()` until the next proposal.
+  /// returns what `propose` would, but skips the intermediate
+  /// PlacementMove hand-off and the separate no-op rescan (generation
+  /// already knows whether the move lands where the module stands). The
+  /// generated kind is readable via `last_move_kind()` until the next
+  /// proposal.
   double propose_random(int window_span, const MoveOptions& options,
                         Rng& rng);
+
+  /// Whether the pending proposal's priced delta is exact: always at
+  /// beta = 0, for no-op moves, and after resolve(); otherwise the value
+  /// propose() returned is only a floor.
+  bool exact() const { return pending_.exact; }
+
+  /// Prices a pending proposal that is not exact() exactly and returns
+  /// its delta. This applies the move (placement, tallies, FTI patch);
+  /// revert() still undoes it.
+  double resolve();
 
   /// Kind of the most recently proposed move (fused or explicit).
   MoveKind last_move_kind() const { return pending_.move.kind; }
 
-  /// Keeps the proposed move; returns the (new) absolute cost.
+  /// Keeps the proposed move (resolving it first if needed); returns the
+  /// (new) absolute cost.
   double commit();
 
   /// Discards the proposed move.
@@ -173,46 +125,39 @@ class IncrementalPlacementState {
   bool has_pending() const { return pending_.active; }
 
  private:
-  struct TouchedModule {
-    int index = -1;
-    Point anchor{0, 0};
-    bool rotated = false;
-    bool outside = false;
-    long long defect_hits = 0;
-    Rect footprint;  ///< pre-move footprint (cache restore on revert)
+  /// The proposal's side of every tally a move can touch. propose()
+  /// fills it; resolve() exchanges it with the state's side, so it then
+  /// holds the pre-move values that revert() exchanges back.
+  struct Staged {
+    long long overlap_total = 0;
+    long long defect_total = 0;
+    long long pressure_total = 0;
+    int outside_count = 0;
+    Rect bbox;
+    double value = 0.0;  ///< exact cost, or the floor's cost until resolved
   };
 
   struct Pending {
     bool active = false;
-    bool eager = false;  ///< beta != 0: state already mutated, undo below
+    bool exact = true;     ///< the priced delta is exact (see exact())
+    bool applied = false;  ///< resolve() applied the move; revert() undoes
+    /// The move; resolve() exchanges its anchors and orientations with
+    /// the placement's, like every other staged value.
     PlacementMove move;
+    Staged staged;
 
-    // Lazy (beta = 0) candidates, applied by commit(). `footprints_` is
-    // updated by propose() itself (the overlap/bbox pricing reads it);
-    // revert() puts `old_footprints` back.
+    // Per touched module and per re-priced pair/link entry; the new_*
+    // values are staged like Staged's. `footprints_` takes
+    // the new footprints in propose() itself (the overlap and bbox
+    // pricing read them); revert() puts `old_footprints` back.
     Rect old_footprints[2];
     bool new_outside[2] = {false, false};
     long long new_defect_hits[2] = {0, 0};
     std::vector<std::pair<int, long long>> new_pair_overlaps;
     std::vector<std::pair<int, long long>> new_link_costs;
-    long long cand_overlap_total = 0;
-    long long cand_defect_total = 0;
-    long long cand_pressure_total = 0;
-    int cand_outside_count = 0;
-    Rect cand_bbox;
-    double cand_value = 0.0;
 
-    // Eager (beta != 0) undo data, applied by revert().
-    TouchedModule old_modules[2];
-    std::vector<std::pair<int, long long>> old_pair_overlaps;
-    std::vector<std::pair<int, long long>> old_link_costs;
-    long long old_overlap_total = 0;
-    long long old_defect_total = 0;
-    long long old_pressure_total = 0;
-    int old_outside_count = 0;
+    // resolve()'s FTI undo data.
     long long old_covered = 0;
-    Rect old_bbox;
-    double old_value = 0.0;
     FtiIncrementalEvaluator::Backup fti_backup;
   };
 
@@ -229,19 +174,21 @@ class IncrementalPlacementState {
   /// move provably lands every touched module exactly where it stands.
   double propose_known(const PlacementMove& move, bool noop);
 
-  double propose_eager(const PlacementMove& move);
+  /// Moves the pending proposal's staged values into the state. With
+  /// kKeepOld the state's values move into the staged slots in exchange
+  /// (see Staged), so a second call undoes the first; commit() of an
+  /// unresolved proposal needs no undo and just assigns.
+  template <bool kKeepOld>
+  void apply_staged();
 
   long long defect_hits(const Rect& footprint) const;
-  Rect bounding_box_from_extents() const;
-  void erase_extents(const Rect& footprint);
-  void insert_extents(const Rect& footprint);
 
   Placement placement_;
   CostWeights weights_;
   std::vector<Point> defects_;
 
   /// Current footprint of every module — PlacedModule::footprint() is hot
-  /// enough in the proposal loop (pair overlaps, extents, defects all need
+  /// enough in the proposal loop (pair overlaps, bbox, defects all need
   /// it) that re-deriving it from the spec each time measurably costs.
   std::vector<Rect> footprints_;
 
@@ -269,16 +216,10 @@ class IncrementalPlacementState {
   std::vector<long long> module_defect_hits_;
   long long defect_total_ = 0;
 
-  /// Current (committed) placement bounding box.
+  /// Current (committed) placement bounding box. Proposals price a
+  /// candidate box with a short scan over `footprints_` (cheaper than
+  /// maintaining extent structures at placement sizes).
   Rect bbox_;
-
-  /// Bounding-box extents, one entry per module footprint edge.
-  /// Maintained only on the eager (beta != 0) path, where the extent
-  /// structures make move/undo bounding-box updates O(1); the beta = 0
-  /// path prices candidate boxes with a short scan over `footprints_`
-  /// instead (cheaper than histogram maintenance at placement sizes, and
-  /// rejected proposals then write nothing at all).
-  ExtentSet lefts_, rights_, bottoms_, tops_;
 
   std::vector<bool> outside_;  ///< per module: footprint leaves the canvas
   int outside_count_ = 0;

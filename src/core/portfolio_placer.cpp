@@ -83,22 +83,15 @@ struct Replica {
     }
   }
 
+  /// Settles one proposal priced at `delta` (a floor unless the state
+  /// says exact) on its pre-drawn Metropolis variate, by anneal_delta's
+  /// rules.
   void decide(double delta, double draw, Clock::time_point segment_start) {
     ++stats.proposals;
     const int kind = static_cast<int>(state->last_move_kind());
     ++proposals_by_kind[kind];
-    bool accept = delta < 0.0;
-    if (!accept && temperature > 0.0) {
-      // Same exp-skips as anneal_delta: a zero delta always accepts, and
-      // below -746 exp() is exactly 0.
-      if (delta == 0.0) {
-        accept = true;
-      } else {
-        const double exponent = -delta / temperature;
-        accept = exponent > -746.0 && draw < std::exp(exponent);
-      }
-      if (accept) ++stats.uphill_accepted;
-    }
+    const bool accept = detail::metropolis_decide(
+        *state, delta, temperature, [draw] { return draw; }, stats);
     if (accept) {
       current_cost = state->commit();
       ++stats.accepted;
@@ -325,6 +318,7 @@ PlacementOutcome anneal_portfolio(const Placement& initial,
     total.proposals += rs.proposals;
     total.accepted += rs.accepted;
     total.uphill_accepted += rs.uphill_accepted;
+    total.bound_rejected += rs.bound_rejected;
     outcome.replica_stats.push_back(rs);
   }
   total.temperature_steps = done;

@@ -12,20 +12,26 @@ namespace {
 /// Concrete (non-type-erased) delta problem, so the annealing loop inlines
 /// the callbacks — std::function dispatch measurably costs at the delta
 /// engine's proposal rates.
-template <typename P, typename C, typename R, typename Q, typename B>
+template <typename P, typename E, typename V, typename C, typename R,
+          typename Q, typename B>
 struct InlineDeltaProblem {
   P propose_delta;
+  E exact;
+  V resolve;
   C commit;
   R revert;
   Q recordable;
   B record_best;
 };
-template <typename P, typename C, typename R, typename Q, typename B>
-InlineDeltaProblem(P, C, R, Q, B) -> InlineDeltaProblem<P, C, R, Q, B>;
+template <typename P, typename E, typename V, typename C, typename R,
+          typename Q, typename B>
+InlineDeltaProblem(P, E, V, C, R, Q, B)
+    -> InlineDeltaProblem<P, E, V, C, R, Q, B>;
 
 /// The annealing engine: one IncrementalPlacementState mutated in place,
-/// each proposal priced by the delta of the cost terms it touched; the
-/// placement is only ever copied when a new best is recorded.
+/// each proposal priced by the delta of the cost terms it touched (FTI
+/// only when its floor cannot reject it); the placement is only ever
+/// copied when a new best is recorded.
 Placement anneal_delta_engine(const Placement& initial,
                               const CostEvaluator& evaluator,
                               const PlacerContext& context, Rng& rng,
@@ -66,6 +72,8 @@ Placement anneal_delta_engine(const Placement& initial,
         ++proposals_by_kind[last_kind];
         return state.propose(move);
       },
+      /*exact=*/[&] { return state.exact(); },
+      /*resolve=*/[&] { return state.resolve(); },
       /*commit=*/
       [&] {
         ++accepted_by_kind[last_kind];

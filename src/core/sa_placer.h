@@ -6,7 +6,8 @@
 //
 // One engine runs every anneal: an IncrementalPlacementState
 // (core/incremental_cost.h) mutated in place by the anneal_delta loop
-// (core/annealer.h), each proposal priced by the cost terms it touched.
+// (core/annealer.h), each proposal priced by the cost terms it touched
+// (the FTI term only when a floor on the delta cannot reject it).
 // Its trajectory is seed-for-seed identical to a per-proposal copy plus
 // full re-evaluation; that copying oracle lives in tests/support/ and
 // tests/test_incremental_cost.cpp pins the identity.

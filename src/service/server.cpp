@@ -55,6 +55,16 @@ std::uint64_t as_u64(const json::Value& value, const std::string& what) {
   return static_cast<std::uint64_t>(number);
 }
 
+/// A wire number that must be finite: JSON text such as 1e999 parses to
+/// infinity, and an infinite cost weight turns every cost into NaN.
+double as_finite(const json::Value& value, const std::string& what) {
+  const double number = value.as_number();
+  if (!std::isfinite(number)) {
+    throw std::invalid_argument(what + " must be a finite number");
+  }
+  return number;
+}
+
 std::pair<int, int> as_dims(const json::Value& value, const char* what) {
   const auto& pair = value.as_array();
   if (pair.size() != 2) {
@@ -130,9 +140,9 @@ void parse_pipeline_options(const json::Value& value,
         options.placer_context.defects.push_back(Point{x, y});
       }
     } else if (key == "gamma") {
-      options.placer_context.weights.gamma = field.as_number();
+      options.placer_context.weights.gamma = as_finite(field, "gamma");
     } else if (key == "beta") {
-      options.placer_context.weights.beta = field.as_number();
+      options.placer_context.weights.beta = as_finite(field, "beta");
     } else if (key == "annealing") {
       parse_annealing(field, options.placer_context.annealing);
     } else if (key == "feedback_rounds") {

@@ -145,6 +145,11 @@ struct DeltaQuadratic {
       state->pending = state->current + rng.next_int(-span, span);
       return cost_of(state->pending) - cost_of(state->current);
     }
+    // Every delta is priced exactly: the floor path never runs.
+    bool exact() const { return true; }
+    double resolve() const {
+      return cost_of(state->pending) - cost_of(state->current);
+    }
     double commit() const {
       state->current = state->pending;
       return cost_of(state->current);

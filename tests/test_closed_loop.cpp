@@ -213,7 +213,7 @@ TEST(ClosedLoopTest, IncrementalStateTracksRoutePressureThroughMoves) {
   const auto links =
       routing::extract_links(pcr_mixing_assay().graph, synth.schedule);
 
-  for (const double beta : {0.0, 30.0}) {  // lazy and eager pricing paths
+  for (const double beta : {0.0, 30.0}) {  // exact and floor pricing paths
     CostWeights weights;
     weights.beta = beta;
     weights.gamma = 0.05;

@@ -109,41 +109,85 @@ void expect_matches_evaluator(const IncrementalPlacementState& state,
   EXPECT_EQ(state.defect_cells(), evaluator.defect_usage(state.placement()));
 }
 
-/// Random move sequence with random commit/revert decisions; the tracked
-/// cost must equal a fresh evaluation after every step.
-void run_cross_check(double beta, std::vector<Point> defects,
-                     std::uint64_t seed, Canvas canvas) {
+/// Route links over consecutive modules, for the gamma != 0 cases.
+std::vector<RouteLink> chain_links(int modules) {
+  std::vector<RouteLink> links;
+  for (int i = 0; i < modules; ++i) {
+    links.push_back(RouteLink{i > 0 ? i - 1 : -1, i, 1 + i % 3});
+  }
+  return links;
+}
+
+/// Settles a fresh proposal priced at `priced` the way the annealer may:
+/// a floor is resolved on two steps in three (checked against the exact
+/// delta) and left unresolved on the third, then the proposal is
+/// committed or reverted by a coin flip. Returns whether a floor was
+/// checked.
+bool settle(IncrementalPlacementState& state, double priced, double before,
+            int step, Rng& rng) {
+  const bool floor = !state.exact();
+  const bool resolved = floor && step % 3 != 0;
+  double delta = priced;
+  if (resolved) {
+    delta = state.resolve();
+    EXPECT_TRUE(state.exact());
+    // The floor is a bound bit for bit, not approximately.
+    EXPECT_LE(priced, delta) << "step " << step;
+    // Resolving applies the move but leaves the committed cost.
+    EXPECT_DOUBLE_EQ(state.cost(), before);
+  }
+  if (rng.next_bool(0.5)) {
+    const double after = state.commit();
+    if (!floor || resolved) {
+      EXPECT_DOUBLE_EQ(after, before + delta);
+    }
+  } else {
+    state.revert();
+    EXPECT_DOUBLE_EQ(state.cost(), before);
+  }
+  EXPECT_FALSE(state.has_pending());
+  return resolved;
+}
+
+/// Random move sequence with random resolve/commit/revert decisions; the
+/// tracked cost must equal a fresh evaluation after every step. Returns
+/// how many floors were checked against their exact delta.
+int run_cross_check(double beta, std::vector<Point> defects,
+                    std::uint64_t seed, Canvas canvas, double gamma = 0.0) {
   Rng rng(seed);
   const Placement initial = random_input(8, canvas, rng);
 
   CostWeights weights;
   weights.beta = beta;
+  weights.gamma = gamma;
   CostEvaluator evaluator(weights);
   evaluator.set_defects(std::move(defects));
+  if (gamma != 0.0) {
+    evaluator.set_route_links(chain_links(initial.module_count()));
+  }
 
   IncrementalPlacementState state(initial, evaluator);
   expect_matches_evaluator(state, evaluator);
 
+  int floors = 0;
   const MoveOptions moves = moves_on(canvas);
   for (int step = 0; step < 200; ++step) {
     const double fraction = 1.0 - static_cast<double>(step) / 200.0;
     const PlacementMove move =
         generate_random_move(state.placement(), fraction, moves, rng);
     const double before = state.cost();
-    const double delta = state.propose(move);
-    ASSERT_TRUE(state.has_pending());
+    const double priced = state.propose(move);
+    EXPECT_TRUE(state.has_pending());
+    if (beta == 0.0) {
+      EXPECT_TRUE(state.exact());
+    }
     // Mid-proposal, cost() keeps reporting the committed state.
     EXPECT_DOUBLE_EQ(state.cost(), before);
-
-    if (rng.next_bool(0.5)) {
-      EXPECT_DOUBLE_EQ(state.commit(), before + delta);
-    } else {
-      state.revert();
-      EXPECT_DOUBLE_EQ(state.cost(), before);
-    }
-    ASSERT_FALSE(state.has_pending());
+    if (settle(state, priced, before, step, rng)) ++floors;
     expect_matches_evaluator(state, evaluator);
+    if (::testing::Test::HasFailure()) break;
   }
+  return floors;
 }
 
 TEST(IncrementalCostTest, TracksEvaluatorAreaOnly) {
@@ -166,6 +210,24 @@ TEST(IncrementalCostTest, TracksEvaluatorWithFtiOnWideCanvas) {
   run_cross_check(/*beta=*/30.0, {}, /*seed=*/23, kWide);
   run_cross_check(/*beta=*/30.0, {{63, 5}, {64, 5}, {128, 1}}, /*seed=*/33,
                   kWide);
+}
+
+TEST(IncrementalCostTest, FloorNeverExceedsTheExactDelta) {
+  // Every beta != 0 proposal is priced with FTI at its best case; the
+  // floor must never exceed the delta resolve() prices, for either sign
+  // of beta, under defects, route pressure and the wide canvas.
+  const std::vector<Point> defects{{3, 3}, {7, 2}, {12, 12}, {3, 3}};
+  for (const double beta : {30.0, 10.0, -5.0}) {
+    SCOPED_TRACE(beta);
+    EXPECT_GT(run_cross_check(beta, {}, /*seed=*/61, kSmall), 0);
+    EXPECT_GT(run_cross_check(beta, defects, /*seed=*/62, kSmall), 0);
+    EXPECT_GT(run_cross_check(beta, {}, /*seed=*/63, kSmall,
+                              /*gamma=*/0.05),
+              0);
+    EXPECT_GT(run_cross_check(beta, {{63, 5}, {64, 5}}, /*seed=*/64, kWide,
+                              /*gamma=*/0.05),
+              0);
+  }
 }
 
 void expect_identical_outcomes(const PlacementOutcome& copy,
@@ -191,10 +253,24 @@ void expect_identical_outcomes(const PlacementOutcome& copy,
   }
 }
 
+/// A shortened (but real) schedule for the engine-equivalence runs.
+AnnealingSchedule short_schedule(Canvas canvas) {
+  AnnealingSchedule annealing;
+  annealing.initial_temperature = 200.0;
+  annealing.cooling_rate = 0.8;
+  // The copy oracle re-evaluates FTI over the whole region per proposal,
+  // ~12x the cells on the wide canvas: fewer proposals per step there
+  // keep the sanitizer build fast.
+  annealing.iterations_per_module = is_wide(canvas) ? 8 : 30;
+  annealing.min_temperature = 0.5;
+  return annealing;
+}
+
 /// Seed-for-seed equivalence of the copying oracle and the delta engine
-/// over a shortened (but real) annealing run.
-void run_engine_equivalence(double beta, std::vector<Point> defects,
-                            std::uint64_t seed, Canvas canvas) {
+/// over `annealing`. Returns the delta engine's stats.
+AnnealingStats run_engine_equivalence(double beta, std::vector<Point> defects,
+                                      std::uint64_t seed, Canvas canvas,
+                                      const AnnealingSchedule& annealing) {
   Rng rng(seed);
   const Placement initial = random_input(7, canvas, rng);
 
@@ -202,13 +278,7 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
   options.canvas_width = canvas.width;
   options.canvas_height = canvas.height;
   options.moves = moves_on(canvas);
-  options.annealing.initial_temperature = 200.0;
-  options.annealing.cooling_rate = 0.8;
-  // The copy oracle re-evaluates FTI over the whole region per proposal,
-  // ~12x the cells on the wide canvas: fewer proposals per step there
-  // keep the sanitizer build fast.
-  options.annealing.iterations_per_module = is_wide(canvas) ? 8 : 30;
-  options.annealing.min_temperature = 0.5;
+  options.annealing = annealing;
   options.weights.beta = beta;
   options.defects = std::move(defects);
   options.seed = seed;
@@ -216,15 +286,29 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
   const PlacementOutcome copy = anneal_copy(initial, options);
   const PlacementOutcome delta = anneal_from(initial, options);
   expect_identical_outcomes(copy, delta);
+  return delta.stats;
+}
+
+AnnealingStats run_engine_equivalence(double beta, std::vector<Point> defects,
+                                      std::uint64_t seed, Canvas canvas) {
+  return run_engine_equivalence(beta, std::move(defects), seed, canvas,
+                                short_schedule(canvas));
 }
 
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedAreaOnly) {
-  run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/101, kSmall);
+  EXPECT_EQ(run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/101, kSmall)
+                .bound_rejected,
+            0);
   run_engine_equivalence(/*beta=*/0.0, {}, /*seed=*/102, kSmall);
 }
 
+// The beta > 0 cases also prove the early-reject path ran: proposals
+// rejected on their floor, before FTI was priced, left the trajectory
+// the copy oracle's.
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithFti) {
-  run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/201, kSmall);
+  EXPECT_GT(run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/201, kSmall)
+                .bound_rejected,
+            0);
 }
 
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithDefects) {
@@ -233,7 +317,31 @@ TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithDefects) {
 }
 
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithFtiOnWideCanvas) {
-  run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/202, kWide);
+  EXPECT_GT(run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/202, kWide)
+                .bound_rejected,
+            0);
+}
+
+TEST(IncrementalCostTest, EnginesAgreeSeedForSeedUnderThePaperSchedule) {
+  // The "sa" at beta = 10 class of FTI-weighted compiles: the paper's
+  // T0 = 10000 and alpha = 0.9, with fewer iterations per module so the
+  // copy oracle stays affordable.
+  AnnealingSchedule paper;
+  paper.iterations_per_module = 6;
+  EXPECT_GT(run_engine_equivalence(/*beta=*/10.0, {}, /*seed=*/203, kSmall,
+                                   paper)
+                .bound_rejected,
+            0);
+  EXPECT_GT(run_engine_equivalence(/*beta=*/10.0, {{4, 4}, {10, 3}},
+                                   /*seed=*/204, kSmall, paper)
+                .bound_rejected,
+            0);
+}
+
+TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithNegativeBeta) {
+  // beta < 0 prices FTI's best case at 0: the floor path with the other
+  // sign of the term.
+  run_engine_equivalence(/*beta=*/-5.0, {}, /*seed=*/205, kSmall);
 }
 
 TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
@@ -267,8 +375,9 @@ TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
 /// decisions, pinning the incremental evaluator's per-cell coverage
 /// state against BOTH reference evaluators after every operation —
 /// `evaluate_fti`'s mask and the definition-faithful
-/// `is_cell_covered_reference` — including mid-proposal, where the
-/// eager state reflects the proposed placement.
+/// `is_cell_covered_reference` — including mid-proposal: before
+/// resolve() the state still holds the committed placement, after it
+/// the proposed one.
 void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
                         Canvas canvas, int steps) {
   Rng rng(seed);
@@ -279,11 +388,7 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
   weights.gamma = gamma;
   CostEvaluator evaluator(weights);
   if (gamma != 0.0) {
-    std::vector<RouteLink> links;
-    for (int i = 0; i < initial.module_count(); ++i) {
-      links.push_back(RouteLink{i > 0 ? i - 1 : -1, i, 1 + i % 3});
-    }
-    evaluator.set_route_links(std::move(links));
+    evaluator.set_route_links(chain_links(initial.module_count()));
   }
 
   IncrementalPlacementState state(initial, evaluator);
@@ -324,17 +429,19 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
     const PlacementMove move =
         generate_random_move(state.placement(), fraction, moves, rng);
     const double before = state.cost();
-    const double delta = state.propose(move);
+    double priced = state.propose(move);
     ASSERT_TRUE(state.has_pending());
     audit_coverage("proposed", step);
-
-    if (rng.next_bool(0.5)) {
-      EXPECT_DOUBLE_EQ(state.commit(), before + delta);
-    } else {
-      state.revert();
-      EXPECT_DOUBLE_EQ(state.cost(), before);
+    if (!state.exact() && step % 3 != 0) {  // as settle() would
+      const double delta = state.resolve();
+      EXPECT_LE(priced, delta) << "step " << step;
+      priced = delta;
+      audit_coverage("resolved", step);
+      ASSERT_FALSE(::testing::Test::HasFailure());
     }
-    audit_coverage("resolved", step);
+
+    settle(state, priced, before, step, rng);
+    audit_coverage("settled", step);
     expect_matches_evaluator(state, evaluator);
   }
 }

@@ -618,6 +618,21 @@ TEST(ServerHardeningTest, FractionalSeedIsAnError) {
       "seed must be an integer in [0, 2^64)");
 }
 
+TEST(ServerHardeningTest, NonFiniteBetaIsAnError) {
+  // 1e999 parses to infinity; it was once served ok with "cost":null.
+  expect_errors_then_served(
+      serve_then_probe({request_line("b", "{\"beta\":1e999}"),
+                        request_line("n", "{\"beta\":-1e999}")}),
+      2, "beta must be a finite number");
+}
+
+TEST(ServerHardeningTest, NonFiniteGammaIsAnError) {
+  expect_errors_then_served(
+      serve_then_probe({request_line("g", "{\"gamma\":1e999}"),
+                        request_line("n", "{\"gamma\":-1e999}")}),
+      2, "gamma must be a finite number");
+}
+
 TEST(ServerHardeningTest, DeeplyNestedLineIsAnErrorNotACrash) {
   // 200k open brackets once overflowed the recursive parser's stack.
   expect_errors_then_served(
