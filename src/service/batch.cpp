@@ -13,6 +13,7 @@
 #include "io/assay_format.h"
 #include "io/json.h"
 #include "service/server.h"
+#include "service/service.h"
 #include "util/hash.h"
 #include "util/subprocess.h"
 
@@ -209,6 +210,7 @@ WorkerReport run_batch_items(const std::vector<BatchItem>& items,
     if (!result) {
       auto computed = std::make_shared<PipelineResult>();
       try {
+        check_admission(item.options);
         *computed = SynthesisPipeline(item.options).run(item.assay);
       } catch (const std::exception& error) {
         *computed = PipelineResult{};

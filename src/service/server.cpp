@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -90,13 +91,16 @@ void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
   }
 }
 
-json::Value stats_line(const CacheStats& stats) {
+/// The `stats` control reply; `id` is echoed when the line carried one.
+json::Value stats_line(const CacheStats& stats,
+                       const std::optional<std::string>& id) {
   json::Value counters;
   counters.set("exact_hits", static_cast<double>(stats.exact_hits));
   counters.set("warm_hits", static_cast<double>(stats.warm_hits));
   counters.set("misses", static_cast<double>(stats.misses));
   counters.set("entries", static_cast<double>(stats.entries));
   json::Value doc;
+  if (id) doc.set("id", *id);
   doc.set("ok", true);
   doc.set("stats", std::move(counters));
   return doc;
@@ -351,16 +355,21 @@ void CompileServer::serve(
     // only a cheap pre-filter — the parse decides.
     if (line.find("\"cmd\"") != std::string::npos) {
       std::string cmd;
+      std::optional<std::string> id;
       try {
         const json::Value doc = json::Value::parse(line);
         if (const json::Value* field = doc.find("cmd")) {
           cmd = field->as_string();
         }
+        if (const json::Value* field = doc.find("id");
+            field && field->is_string()) {
+          id = field->as_string();
+        }
       } catch (...) {
         // Malformed line: fall through to the queue, a worker reports it.
       }
       if (cmd == "stats") {
-        emit(stats_line(service_.cache_stats()).dump());
+        emit(stats_line(service_.cache_stats(), id).dump());
         continue;
       }
       if (cmd == "shutdown") break;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "assay/scheduler.h"
@@ -43,7 +45,22 @@ AnnealingSchedule refinement_schedule(const AnnealingSchedule& warm,
   return schedule;
 }
 
+void check_side(const char* what, int width, int height) {
+  if (width > kMaxGridSide || height > kMaxGridSide) {
+    throw std::invalid_argument(
+        std::string(what) + " [" + std::to_string(width) + "," +
+        std::to_string(height) + "] exceeds the grid side limit of " +
+        std::to_string(kMaxGridSide) + " cells");
+  }
+}
+
 }  // namespace
+
+void check_admission(const PipelineOptions& options) {
+  check_side("canvas", options.placer_context.canvas_width,
+             options.placer_context.canvas_height);
+  check_side("chip", options.chip_width, options.chip_height);
+}
 
 const char* to_string(CompileSource source) {
   switch (source) {
@@ -65,6 +82,7 @@ CompileResponse CompileService::compile(const CompileRequest& request) {
   CompileResponse response;
   response.id = request.id;
   try {
+    check_admission(request.options);
     AssayCase assay = request.assay;
     if (assay.binding.empty()) {
       assay.binding = bind_operations(assay.graph, options_.library,

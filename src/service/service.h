@@ -58,6 +58,17 @@ struct CompileResponse {
   double wall_seconds = 0.0;  ///< service-side time for this request
 };
 
+/// The largest canvas or chip side a request may name. A changeover's
+/// space-time routing volume is (4(W+H)+1)·W·H states, so it grows with
+/// the cube of the side; 128 bounds it at ~16.8 M states and sits above
+/// the 100-cell sides of the benchmark corpora.
+inline constexpr int kMaxGridSide = 128;
+
+/// Admission: throws std::invalid_argument naming the field when the
+/// canvas or chip has a side above kMaxGridSide. Runs before a compile
+/// allocates anything sized by the grid.
+void check_admission(const PipelineOptions& options);
+
 /// Service-level tuning.
 struct ServiceOptions {
   /// Refinement annealing schedule for warm-started compiles: the cached
@@ -80,7 +91,8 @@ class CompileService {
   explicit CompileService(ServiceOptions options = {});
 
   /// Compiles one request (or serves it from the cache). Never throws:
-  /// compile errors come back as !ok responses with the exception text.
+  /// compile errors, admission refusals included, come back as !ok
+  /// responses with the exception text.
   CompileResponse compile(const CompileRequest& request);
 
   CacheStats cache_stats() const { return cache_.stats(); }

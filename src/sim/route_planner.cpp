@@ -98,9 +98,27 @@ bool pair_violates_at(const TimedRoute& a, const TimedRoute& b, int step,
           chebyshev_distance(pb, position_at(a, step - 1)) < separation);
 }
 
+void SearchScratch::begin(std::size_t states) {
+  if (states > capacity_) {
+    // Fresh stamps are zero, and epoch 0 never names a search.
+    stamp_ = std::make_unique<Stamp[]>(states);
+    cost_ = std::make_unique_for_overwrite<double[]>(states);
+    move_ = std::make_unique_for_overwrite<std::uint8_t[]>(states);
+    capacity_ = states;
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) {
+    // Wrapped: stamps left by the searches 2^16 epochs ago would read as
+    // visited in this one.
+    std::fill_n(stamp_.get(), capacity_, Stamp{0});
+    epoch_ = 1;
+  }
+}
+
 std::optional<std::vector<Point>> route_transfer(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
-    const std::vector<TimedRoute>& earlier, int horizon, int separation) {
+    const std::vector<TimedRoute>& earlier, int horizon, int separation,
+    SearchScratch& scratch) {
   const int width = blocked.width();
   const int height = blocked.height();
   if (!blocked.in_bounds(request.from) || !blocked.in_bounds(request.to)) {
@@ -129,22 +147,18 @@ std::optional<std::vector<Point>> route_transfer(
     }
   };
 
-  // visited[(x, y, step)] — steps bounded by horizon.
+  // State (x, y, step) — steps bounded by horizon.
   const auto key = [&](Point p, int step) {
     return (static_cast<std::size_t>(step) * height + p.y) * width + p.x;
   };
-  std::vector<bool> visited(
-      static_cast<std::size_t>(horizon + 1) * width * height, false);
-  std::vector<int> parent(
-      static_cast<std::size_t>(horizon + 1) * width * height, -1);
+  if (conflicts(request.from, 0)) return std::nullopt;
+  scratch.begin(static_cast<std::size_t>(horizon + 1) * width * height);
 
   std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
-  if (conflicts(request.from, 0)) return std::nullopt;
   open.push(
       Node{manhattan_distance(request.from, request.to), 0, request.from});
-  visited[key(request.from, 0)] = true;
+  scratch.visit(key(request.from, 0), 0);
 
-  const Point steps[5] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
   while (!open.empty()) {
     const Node node = open.top();
     open.pop();
@@ -154,23 +168,21 @@ std::optional<std::vector<Point>> route_transfer(
       Point p = node.p;
       for (int s = node.step; s >= 0; --s) {
         positions[static_cast<std::size_t>(s)] = p;
-        const int parent_index = parent[key(p, s)];
         if (s > 0) {
-          p = Point{parent_index % width, (parent_index / width) % height};
+          const Point move = kMoves[scratch.move(key(p, s))];
+          p = Point{p.x - move.x, p.y - move.y};
         }
       }
       return positions;
     }
     if (node.step >= horizon) continue;
-    for (const Point& delta : steps) {
-      const Point next{node.p.x + delta.x, node.p.y + delta.y};
+    for (std::uint8_t m = 0; m < std::size(kMoves); ++m) {
+      const Point next{node.p.x + kMoves[m].x, node.p.y + kMoves[m].y};
       const int next_step = node.step + 1;
       if (!blocked.in_bounds(next) || blocked.at(next) != 0) continue;
-      if (visited[key(next, next_step)]) continue;
+      if (scratch.visited(key(next, next_step))) continue;
       if (conflicts(next, next_step)) continue;
-      visited[key(next, next_step)] = true;
-      parent[key(next, next_step)] = static_cast<int>(
-          key(node.p, 0) % (static_cast<std::size_t>(width) * height));
+      scratch.visit(key(next, next_step), m);
       open.push(Node{next_step + manhattan_distance(next, request.to),
                      next_step, next});
     }
@@ -368,7 +380,8 @@ std::vector<std::size_t> default_order(
 
 std::optional<ChangeoverPlan> solve_prioritized(
     const ChangeoverProblem& problem, const std::vector<std::size_t>& order,
-    const RoutePlannerOptions& options, int horizon, std::string* failure) {
+    const RoutePlannerOptions& options, int horizon, SearchScratch& scratch,
+    std::string* failure) {
   ChangeoverPlan changeover;
   changeover.time_s = problem.time_s;
   for (const std::size_t r : order) {
@@ -380,12 +393,12 @@ std::optional<ChangeoverPlan> solve_prioritized(
            perimeter_entries(problem.blocked, request.to)) {
         request.from = entry;
         positions = route_transfer(request, problem.blocked, changeover.routes,
-                                   horizon, options.separation_cells);
+                                   horizon, options.separation_cells, scratch);
         if (positions) break;
       }
     } else {
       positions = route_transfer(request, problem.blocked, changeover.routes,
-                                 horizon, options.separation_cells);
+                                 horizon, options.separation_cells, scratch);
     }
     if (!positions) {
       if (failure) {
@@ -471,8 +484,9 @@ RoutePlan plan_prioritized(const SequencingGraph& graph,
       extract_problems(graph, schedule, placement, chip_width, chip_height),
       options.threads,
       [&](const ChangeoverProblem& problem, std::size_t, std::string* failure) {
+        SearchScratch scratch;
         return solve_prioritized(problem, default_order(problem.requests),
-                                 options, horizon, failure);
+                                 options, horizon, scratch, failure);
       });
 }
 

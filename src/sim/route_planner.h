@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -285,13 +286,68 @@ bool conflicts_with_route(Point p, int step, const TimedRoute& other,
 bool pair_violates_at(const TimedRoute& a, const TimedRoute& b, int step,
                       int separation);
 
+/// A droplet's moves per step in the space-time searches, in expansion
+/// order: wait in place, then the four neighbours.
+inline constexpr Point kMoves[5] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+
+/// The reusable state of a space-time A* over the (horizon + 1) x W x H
+/// volume of one changeover: per state a best cost, the move that reached
+/// it and a stamp. A state's cost, move and visited flag count only when
+/// its stamp equals the current search's epoch, so a search sets up only
+/// the states it visits. The arrays grow without value-initialising cost
+/// or move (both are written before they are read), and the stamps are
+/// cleared only when the epoch wraps. One scratch serves the searches of
+/// one changeover solve; it is not thread-safe.
+class SearchScratch {
+ public:
+  using Stamp = std::uint16_t;
+
+  /// Starts a search over `states` states, every one of them unvisited.
+  void begin(std::size_t states);
+
+  bool visited(std::size_t state) const { return stamp_[state] == epoch_; }
+
+  /// Best cost reached so far; infinity for a state not visited yet.
+  double cost(std::size_t state) const {
+    return visited(state) ? cost_[state]
+                          : std::numeric_limits<double>::infinity();
+  }
+
+  /// The kMoves index of the move that reached `state`. Only meaningful
+  /// for a visited state other than the start.
+  std::uint8_t move(std::size_t state) const { return move_[state]; }
+
+  /// Marks `state` visited, reached by kMoves[move].
+  void visit(std::size_t state, std::uint8_t move) {
+    stamp_[state] = epoch_;
+    move_[state] = move;
+  }
+
+  /// Marks `state` visited at `cost`, reached by kMoves[move].
+  void visit(std::size_t state, std::uint8_t move, double cost) {
+    visit(state, move);
+    cost_[state] = cost;
+  }
+
+  /// The current search's stamp (0 before the first search).
+  Stamp epoch() const { return epoch_; }
+
+ private:
+  std::unique_ptr<Stamp[]> stamp_;
+  std::unique_ptr<double[]> cost_;
+  std::unique_ptr<std::uint8_t[]> move_;
+  std::size_t capacity_ = 0;
+  Stamp epoch_ = 0;
+};
+
 /// Space-time A* for one transfer against `earlier` routes' reservations
 /// (hard fluidic constraints, including both directions of the dynamic
 /// rule). Returns the per-step positions, or nullopt when no conflict-free
 /// path exists within `horizon` steps.
 std::optional<std::vector<Point>> route_transfer(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
-    const std::vector<TimedRoute>& earlier, int horizon, int separation);
+    const std::vector<TimedRoute>& earlier, int horizon, int separation,
+    SearchScratch& scratch);
 
 /// The deterministic visit order: on-chip transfers first (their start
 /// cells are fixed), longest first; dispenses last so their entry choice
@@ -305,7 +361,8 @@ std::vector<std::size_t> default_order(
 /// transfer cannot be routed.
 std::optional<ChangeoverPlan> solve_prioritized(
     const ChangeoverProblem& problem, const std::vector<std::size_t>& order,
-    const RoutePlannerOptions& options, int horizon, std::string* failure);
+    const RoutePlannerOptions& options, int horizon, SearchScratch& scratch,
+    std::string* failure);
 
 /// One changeover's solver: plan the changeover at `index` in `problems`,
 /// or return nullopt and set `failure`. Must be thread-safe across

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -44,15 +43,6 @@ struct SoftRoute {
   double cost = 0.0;
 };
 
-/// Reusable space-time search buffers: one A* needs (horizon+1)*W*H
-/// entries of best-cost and parent state, and the negotiation loop runs
-/// many searches per changeover — reallocating each time would dominate
-/// the backend's wall time.
-struct SoftScratch {
-  std::vector<double> best_g;
-  std::vector<int> parent;
-};
-
 /// Cost-based space-time A* for one transfer. `others` are the current
 /// routes of every transfer; `self` is skipped (as are merging partners).
 /// `present_weight` prices entering another route's neighbourhood;
@@ -62,7 +52,7 @@ std::optional<SoftRoute> route_soft(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
     const std::vector<TimedRoute>& others, std::size_t self, int horizon,
     int separation, double present_weight, const std::vector<double>& history,
-    double history_weight, SoftScratch& scratch) {
+    double history_weight, routing::SearchScratch& scratch) {
   const int width = blocked.width();
   const int height = blocked.height();
   if (!blocked.in_bounds(request.from) || !blocked.in_bounds(request.to)) {
@@ -103,25 +93,17 @@ std::optional<SoftRoute> route_soft(
     }
   };
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t states =
-      static_cast<std::size_t>(horizon + 1) * width * height;
-  std::vector<double>& best_g = scratch.best_g;
-  std::vector<int>& parent = scratch.parent;
-  best_g.assign(states, kInf);  // reuses the buffers' capacity
-  parent.assign(states, -1);
-
+  scratch.begin(static_cast<std::size_t>(horizon + 1) * width * height);
   std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
   const double start_g = penalty(request.from, 0);
-  best_g[key(request.from, 0)] = start_g;
+  scratch.visit(key(request.from, 0), 0, start_g);
   open.push(Node{start_g + manhattan_distance(request.from, request.to),
                  start_g, 0, request.from});
 
-  const Point steps[5] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
   while (!open.empty()) {
     const Node node = open.top();
     open.pop();
-    if (node.g > best_g[key(node.p, node.step)]) continue;  // stale entry
+    if (node.g > scratch.cost(key(node.p, node.step))) continue;  // stale
     if (node.p == request.to) {
       SoftRoute route;
       route.cost = node.g;
@@ -129,23 +111,22 @@ std::optional<SoftRoute> route_soft(
       Point p = node.p;
       for (int s = node.step; s >= 0; --s) {
         route.positions[static_cast<std::size_t>(s)] = p;
-        const int parent_index = parent[key(p, s)];
         if (s > 0) {
-          p = Point{parent_index % width, (parent_index / width) % height};
+          const Point move = routing::kMoves[scratch.move(key(p, s))];
+          p = Point{p.x - move.x, p.y - move.y};
         }
       }
       return route;
     }
     if (node.step >= horizon) continue;
-    for (const Point& delta : steps) {
-      const Point next{node.p.x + delta.x, node.p.y + delta.y};
+    for (std::uint8_t m = 0; m < std::size(routing::kMoves); ++m) {
+      const Point next{node.p.x + routing::kMoves[m].x,
+                       node.p.y + routing::kMoves[m].y};
       const int next_step = node.step + 1;
       if (!blocked.in_bounds(next) || blocked.at(next) != 0) continue;
       const double g = node.g + 1.0 + penalty(next, next_step);
-      if (g >= best_g[key(next, next_step)]) continue;
-      best_g[key(next, next_step)] = g;
-      parent[key(next, next_step)] = static_cast<int>(
-          key(node.p, 0) % (static_cast<std::size_t>(width) * height));
+      if (g >= scratch.cost(key(next, next_step))) continue;
+      scratch.visit(key(next, next_step), m, g);
       open.push(Node{g + manhattan_distance(next, request.to), g, next_step,
                      next});
     }
@@ -160,7 +141,7 @@ std::optional<SoftRoute> route_soft_resolved(
     TransferRequest& request, const Matrix<std::uint8_t>& blocked,
     const std::vector<TimedRoute>& others, std::size_t self, int horizon,
     int separation, double present_weight, const std::vector<double>& history,
-    double history_weight, SoftScratch& scratch) {
+    double history_weight, routing::SearchScratch& scratch) {
   if (!(request.from == routing::kDispensePending)) {
     return route_soft(request, blocked, others, self, horizon, separation,
                       present_weight, history, history_weight, scratch);
@@ -254,11 +235,13 @@ class NegotiatedRouter final : public Router {
           problems, /*threads=*/1,
           [&](const ChangeoverProblem& problem, std::size_t,
               std::string* failure) {
-            auto changeover = negotiate(problem, options, horizon, &history);
+            routing::SearchScratch scratch;
+            auto changeover =
+                negotiate(problem, options, horizon, &history, scratch);
             if (!changeover) {
               changeover = routing::solve_prioritized(
                   problem, routing::default_order(problem.requests), options,
-                  horizon, failure);
+                  horizon, scratch, failure);
               // The failed negotiation burned its full round budget; the
               // convergence accounting must say so, or fallback-heavy
               // plans would report suspiciously few rounds.
@@ -271,19 +254,21 @@ class NegotiatedRouter final : public Router {
     }
 
     // Changeovers negotiate independently (each owns its history grid and
-    // scratch), so they fan out across the routing thread pool.
+    // search scratch), so they fan out across the routing thread pool.
     return routing::solve_changeovers(
         problems, options.threads,
         [&](const ChangeoverProblem& problem, std::size_t,
             std::string* failure) {
-          auto changeover = negotiate(problem, options, horizon, nullptr);
+          routing::SearchScratch scratch;
+          auto changeover =
+              negotiate(problem, options, horizon, nullptr, scratch);
           if (!changeover) {
             // A changeover the negotiation cannot converge on may still
             // yield to decoupled planning, so "negotiated" never does
             // worse than "prioritized".
             changeover = routing::solve_prioritized(
                 problem, routing::default_order(problem.requests), options,
-                horizon, failure);
+                horizon, scratch, failure);
             // The failed negotiation still burned its full round budget.
             if (changeover) {
               changeover->negotiation_rounds = options.negotiation_rounds;
@@ -296,10 +281,10 @@ class NegotiatedRouter final : public Router {
  private:
   /// `carried`, when non-null, is the cross-changeover history grid: read
   /// as the warm start and left holding whatever this changeover added.
-  std::optional<ChangeoverPlan> negotiate(const ChangeoverProblem& problem,
-                                          const RoutePlannerOptions& options,
-                                          int horizon,
-                                          std::vector<double>* carried) const {
+  std::optional<ChangeoverPlan> negotiate(
+      const ChangeoverProblem& problem, const RoutePlannerOptions& options,
+      int horizon, std::vector<double>* carried,
+      routing::SearchScratch& scratch) const {
     const int width = problem.blocked.width();
     const int height = problem.blocked.height();
     const int separation = options.separation_cells;
@@ -311,7 +296,6 @@ class NegotiatedRouter final : public Router {
     if (carried && carried->size() != states) carried->assign(states, 0.0);
     if (!carried) local.assign(states, 0.0);
     std::vector<double>& history = carried ? *carried : local;
-    SoftScratch scratch;
 
     // Initial pass: route each transfer congestion-aware against the
     // routes placed so far (soft — sharing is allowed, just priced).
@@ -390,11 +374,11 @@ class RestartRouter final : public Router {
           Rng rng(SplitMix64(options.seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)))
                       .next());
 
+          routing::SearchScratch scratch;
           std::optional<ChangeoverPlan> best;
           auto consider = [&](const std::vector<std::size_t>& order) {
-            auto candidate = routing::solve_prioritized(problem, order,
-                                                        options, horizon,
-                                                        failure);
+            auto candidate = routing::solve_prioritized(
+                problem, order, options, horizon, scratch, failure);
             if (!candidate) return;
             if (!best || better(*candidate, *best)) {
               best = std::move(candidate);

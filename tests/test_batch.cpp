@@ -159,6 +159,23 @@ TEST(BatchWorkerTest, ItemsAreBitIdenticalToRunMany) {
   }
 }
 
+TEST(BatchWorkerTest, OversizedGridIsAFailedItemNotAnAllocation) {
+  std::istringstream in(
+      "{\"id\":\"big\",\"assay\":" +
+      json::Value(assay_to_string(small_assays(1).front())).dump() +
+      ",\"options\":{\"placer\":\"greedy\",\"chip\":[3000,3000]}}\n");
+  const auto items =
+      read_manifest(in, fast_options(), ModuleLibrary::standard());
+  MemorySink sink;
+  const WorkerReport report = run_batch_items(items, {0}, sink, nullptr,
+                                              nullptr);
+  EXPECT_EQ(report.failed, 1u);
+  ASSERT_EQ(sink.results.size(), 1u);
+  EXPECT_NE(sink.results[0].find("exceeds the grid side limit of 128"),
+            std::string::npos)
+      << sink.results[0];
+}
+
 TEST(BatchWorkerTest, CacheHitsRenderTheSameResultLine) {
   const auto assays = small_assays(2);
   PipelineOptions base = fast_options();

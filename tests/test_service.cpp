@@ -639,6 +639,58 @@ TEST(ServerHardeningTest, DeeplyNestedLineIsAnErrorNotACrash) {
       serve_then_probe({std::string(200000, '[')}), 1, "nesting deeper");
 }
 
+TEST(ServerHardeningTest, OversizedChipIsRefusedBeforeItAllocates) {
+  // Both once answered std::bad_alloc under a 3 GB address-space limit;
+  // without one the kernel killed the server (routing volume grows with
+  // the cube of the chip side).
+  expect_errors_then_served(
+      serve_then_probe(
+          {request_line("g",
+                        "{\"placer\":\"greedy\",\"chip\":[20000,20000]}"),
+           request_line("s", "{\"simulate\":true,\"chip\":[3000,3000]}")}),
+      2, "chip [");
+}
+
+TEST(ServerHardeningTest, OversizedCanvasIsRefusedBeforeItAllocates) {
+  expect_errors_then_served(
+      serve_then_probe(
+          {request_line("a", "{\"placer\":\"sa\",\"canvas\":[3000,3000]}"),
+           request_line("g",
+                        "{\"placer\":\"greedy\",\"canvas\":[24,60000]}")}),
+      2, "exceeds the grid side limit of 128 cells");
+}
+
+TEST(ServerHardeningTest, GridSideLimitIsInclusive) {
+  const auto responses = serve_then_probe({request_line(
+      "edge", "{\"placer\":\"greedy\",\"canvas\":[128,128],"
+              "\"chip\":[128,128]}")});
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_TRUE(responses.front().find("ok")->as_bool())
+      << responses.front().dump();
+}
+
+TEST(ServerTest, StatsEchoesTheIdWhenTheLineCarriesOne) {
+  CompileServer server;
+  const std::vector<std::string> input = {
+      "{\"cmd\":\"stats\",\"id\":\"s1\"}", "{\"cmd\":\"stats\"}"};
+  std::size_t cursor = 0;
+  std::vector<std::string> output;
+  server.serve(
+      [&](std::string& line) {
+        if (cursor >= input.size()) return false;
+        line = input[cursor++];
+        return true;
+      },
+      [&](const std::string& line) { output.push_back(line); });
+  ASSERT_EQ(output.size(), 2u);
+  const json::Value with_id = json::Value::parse(output[0]);
+  ASSERT_NE(with_id.find("id"), nullptr) << output[0];
+  EXPECT_EQ(with_id.find("id")->as_string(), "s1");
+  EXPECT_TRUE(with_id.find("ok")->as_bool());
+  EXPECT_NE(with_id.find("stats"), nullptr);
+  EXPECT_EQ(json::Value::parse(output[1]).find("id"), nullptr) << output[1];
+}
+
 TEST(JsonTest, NestingDepthIsBounded) {
   const auto nested = [](int depth) {
     return std::string(static_cast<std::size_t>(depth), '[') +
